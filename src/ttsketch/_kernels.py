@@ -1,15 +1,13 @@
-"""Hot numeric kernels with a numba fast path and a vectorized numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
-The backend is chosen once at import time: numba is used when it is
-importable and the environment variable TTSKETCH_NUMBA is not set to
-"0"/"false"/"off".  Both backends implement the same integer mixing, so
-bit streams agree exactly; float outputs may differ by rounding of the
-transcendental functions, which is why nothing in the package compares
-random values across backends.
+The counter-based stream (splitmix64 mixing, Box-Muller normals, bounded
+index draws) and the two contractions of a sparse sketch step.  Those
+take the stored entries sorted by their index in the current mode and
+run one matrix product per run of equal mode values, so a step costs
+O(N*s*t) in BLAS-3 calls for N entries, s sketch rows and t columns.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -20,7 +18,6 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 _U_PHI = np.uint64(_PHI)
-_U_GAMMA2 = np.uint64(_GAMMA2)
 _U_M1 = np.uint64(_M1)
 _U_M2 = np.uint64(_M2)
 _U30 = np.uint64(30)
@@ -31,23 +28,6 @@ _U53 = np.uint64(53)
 _U1 = np.uint64(1)
 _TWO53_INV = float(2.0 ** -53)
 _TWO_PI = 2.0 * math.pi
-
-
-def _env_wants_numba():
-    flag = os.environ.get("TTSKETCH_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-try:
-    import numba
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-NUMBA_ENABLED = HAS_NUMBA and _env_wants_numba()
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +56,7 @@ def derive_key(key, index):
 
 
 # ---------------------------------------------------------------------------
-# numpy backend
+# Vectorized stream
 
 def _values_np(key, counters):
     """Raw 64-bit outputs at the given counters (uint64 array in, uint64 out)."""
@@ -89,7 +69,8 @@ def _values_np(key, counters):
     return z
 
 
-def _normals_np(key, counters):
+def normals_at(key, counters):
+    """Normals at the given counters (uint64 array) of the stream `key`."""
     c2 = counters.astype(np.uint64) * np.uint64(2)
     v1 = _values_np(key, c2)
     v2 = _values_np(key, c2 + _U1)
@@ -98,127 +79,58 @@ def _normals_np(key, counters):
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def _indices_np(key, counters, bound):
+def indices_at(key, counters, bound):
+    """Uniform draws on [0, bound) at the given counters."""
     v = _values_np(key, counters.astype(np.uint64))
     return (((v >> _U11) * np.uint64(bound)) >> _U53).astype(np.int64)
 
 
-def _gammas_np(heads, s_prev, p_mod, key):
+def gammas_at(heads, s_prev, p_mod, key):
+    """Sketch rows met by stored entries: normals at counters head + k*p_mod.
+
+    Row u, column k is the dense Gaussian g[k, heads[u]] of a sketch step
+    whose leading dimension is p_mod (mod 2**64), for k < s_prev.
+    """
     ks = np.arange(s_prev, dtype=np.uint64) * np.uint64(p_mod)
     counters = heads[:, None] + ks[None, :]
-    flat = _normals_np(key, counters.ravel())
+    flat = normals_at(key, counters.ravel())
     return flat.reshape(heads.shape[0], s_prev)
 
 
-def _sparse_sketch_np(mu, head_idx, vals, gam, n_j):
-    m_count, t = vals.shape
-    s_prev = gam.shape[1]
-    a = np.zeros((n_j, s_prev, t))
-    contrib = gam[head_idx][:, :, None] * vals[:, None, :]
-    np.add.at(a, mu, contrib)
+# ---------------------------------------------------------------------------
+# Sparse sketch step, entries sorted by mode index
+
+def _runs(mu):
+    """Start offsets of the runs of equal values in sorted mu, then len(mu)."""
+    cut = np.flatnonzero(mu[1:] != mu[:-1]) + 1
+    return [0, *cut.tolist(), len(mu)] if len(mu) else [0]
+
+
+def sparse_sketch(mu, vals, gam, n_j):
+    """Sketch of one step: a[m] = gam[mu == m].T @ vals[mu == m].
+
+    mu (sorted ascending) is each entry's index in the current mode, vals
+    (N, t) its projected row and gam (N, s) its Gaussian sketch row; the
+    result has shape (n_j, s, t).
+    """
+    a = np.zeros((n_j, gam.shape[1], vals.shape[1]))
+    bounds = _runs(mu)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(gam[lo:hi].T, vals[lo:hi], out=a[mu[lo]])
     return a
 
 
-def _sparse_update_np(mu, head_idx, vals, w_perm, n_heads):
-    out = np.zeros((n_heads, w_perm.shape[1]))
-    wv = np.einsum("ikq,iq->ik", w_perm[mu], vals)
-    np.add.at(out, head_idx, wv)
+def sparse_update(mu, vals, w):
+    """Projection of one step: row i of the result is w[mu[i]] @ vals[i].
+
+    mu (sorted ascending) indexes the (n_j, s, t) blocks w of the new
+    core; every entry keeps its own row, so nothing is scattered.
+    """
+    out = np.empty((vals.shape[0], w.shape[1]))
+    bounds = _runs(mu)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(vals[lo:hi], w[mu[lo]].T, out=out[lo:hi])
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _value_nb(key, counter):
-        z = key + (counter + _U1) * _U_PHI
-        z ^= z >> _U30
-        z *= _U_M1
-        z ^= z >> _U27
-        z *= _U_M2
-        z ^= z >> _U31
-        return z
-
-    @njit(cache=True)
-    def _normal_scalar_nb(key, counter):
-        c2 = counter * np.uint64(2)
-        v1 = _value_nb(key, c2)
-        v2 = _value_nb(key, c2 + _U1)
-        u1 = np.float64((v1 >> _U11) + _U1) * _TWO53_INV
-        u2 = np.float64(v2 >> _U11) * _TWO53_INV
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-
-    @njit(cache=True)
-    def _normals_nb(key, counters):
-        n = counters.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = _normal_scalar_nb(key, counters[i])
-        return out
-
-    @njit(cache=True)
-    def _indices_nb(key, counters, bound):
-        n = counters.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        b = np.uint64(bound)
-        for i in range(n):
-            v = _value_nb(key, counters[i])
-            out[i] = np.int64(((v >> _U11) * b) >> _U53)
-        return out
-
-    @njit(cache=True)
-    def _gammas_nb(heads, s_prev, p_mod, key):
-        u_count = heads.shape[0]
-        p = np.uint64(p_mod)
-        gam = np.empty((u_count, s_prev))
-        for uu in range(u_count):
-            base = heads[uu]
-            for k in range(s_prev):
-                gam[uu, k] = _normal_scalar_nb(key, base + np.uint64(k) * p)
-        return gam
-
-    @njit(cache=True)
-    def _sparse_sketch_nb(mu, head_idx, vals, gam, n_j):
-        m_count, t = vals.shape
-        s_prev = gam.shape[1]
-        a = np.zeros((n_j, s_prev, t))
-        for i in range(m_count):
-            u = head_idx[i]
-            m = mu[i]
-            for k in range(s_prev):
-                g = gam[u, k]
-                for q in range(t):
-                    a[m, k, q] += g * vals[i, q]
-        return a
-
-    @njit(cache=True)
-    def _sparse_update_nb(mu, head_idx, vals, w_perm, n_heads):
-        m_count, t = vals.shape
-        s_prev = w_perm.shape[1]
-        out = np.zeros((n_heads, s_prev))
-        for i in range(m_count):
-            m = mu[i]
-            u = head_idx[i]
-            for k in range(s_prev):
-                acc = 0.0
-                for q in range(t):
-                    acc += w_perm[m, k, q] * vals[i, q]
-                out[u, k] += acc
-        return out
-
-    normals_at = _normals_nb
-    indices_at = _indices_nb
-    gammas_at = _gammas_nb
-    sparse_sketch = _sparse_sketch_nb
-    sparse_update = _sparse_update_nb
-else:
-    normals_at = _normals_np
-    indices_at = _indices_np
-    gammas_at = _gammas_np
-    sparse_sketch = _sparse_sketch_np
-    sparse_update = _sparse_update_np
 
 
 def standard_normals(key, count):

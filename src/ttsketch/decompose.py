@@ -19,8 +19,9 @@ the sparse fast path materialize only the entries of g that meet stored
 data: identical seeds make both paths consume identical random values.
 
 For sparse input with N stored entries the sketch step touches at most
-s*N Gaussian entries and the projection keeps at most N prefixes, so
-the total cost grows linearly in the tensor order at fixed N and s.
+s*N Gaussian entries and the projection keeps one row per entry; both
+contractions are one matrix product per mode value, so the total cost
+grows linearly in the tensor order at fixed N and s.
 """
 
 import math
@@ -235,53 +236,52 @@ def _randomized_dense(x, sketch, rng, t0):
     return result, report
 
 
+def _prefix_codes(idx, shape):
+    """Row-major codes of the index prefixes, reduced mod 2**64.
+
+    Row k holds the code of idx[:, :k], built left to right by Horner's
+    rule in wrapping uint64 arithmetic.  The counters of the sketch only
+    need the codes mod 2**64, so shapes past 2**64 elements need no
+    wider integers.
+    """
+    nnz, d = idx.shape
+    codes = np.zeros((d, nnz), dtype=np.uint64)
+    for k in range(1, d):
+        np.multiply(codes[k - 1], np.uint64(shape[k - 1]), out=codes[k])
+        codes[k] += idx[:, k - 1].astype(np.uint64)
+    return codes
+
+
 def _randomized_sparse(xs, sketch, rng, t0):
     shape = xs.shape
     d = len(shape)
-    total = element_count(shape)
-    big = total >= 2 ** 62
-    if big:
-        codes = np.empty(xs.nnz, dtype=object)
-        for i in range(xs.nnz):
-            pos = 0
-            for k in range(d):
-                pos = pos * shape[k] + int(xs.idx[i, k])
-            codes[i] = pos
-    else:
-        strides = np.empty(d, dtype=np.int64)
-        acc = 1
-        for k in range(d - 1, -1, -1):
-            strides[k] = acc
-            acc *= shape[k]
-        codes = xs.idx @ strides
-    vals = np.ascontiguousarray(xs.values[:, None])
+    heads = _prefix_codes(xs.idx, shape)
+    vals = xs.values[:, None]
     cores = [None] * d
-    space = total
+    lead = element_count(shape)
     t_dim = 1
     # One row per stored entry throughout: entries whose leading positions
     # coincide are kept split (their contributions add linearly at every
     # stage), so the work per step is proportional to the entry count and
-    # the whole pass scales linearly in the order.
-    rows = np.arange(xs.nnz, dtype=np.int64)
+    # the whole pass scales linearly in the order.  Each step reorders the
+    # rows by their index in the current mode; `order` maps rows to entries.
+    order = np.arange(xs.nnz)
     for j in range(d, 1, -1):
         n_j = shape[j - 1]
         s_prev = sketch[j - 2]
-        space //= n_j
-        mu = (codes % n_j).astype(np.int64)
-        heads = codes // n_j
+        lead //= n_j
+        mu = xs.idx[order, j - 1]
+        # Stable, so the order is reproducible; a narrow key lets numpy
+        # use its radix sort.
+        by_mode = np.argsort(mu.astype(np.min_scalar_type(n_j - 1)), kind="stable")
+        order = order[by_mode]
+        mu = mu[by_mode]
+        vals = vals[by_mode]
         key = rng.substream(j).key
-        if big:
-            heads_u64 = np.array(
-                [h % (2 ** 64) for h in heads], dtype=np.uint64
-            )
-            p_mod = space % (2 ** 64)
-        else:
-            heads_u64 = heads.astype(np.uint64)
-            p_mod = space
         gam = _kernels.gammas_at(
-            heads_u64, s_prev, np.uint64(p_mod), np.uint64(key)
+            heads[j - 1][order], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
         )
-        a_by_mode = _kernels.sparse_sketch(mu, rows, vals, gam, n_j)
+        a_by_mode = _kernels.sparse_sketch(mu, vals, gam, n_j)
         a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
             s_prev, n_j * t_dim
         )
@@ -291,11 +291,10 @@ def _randomized_sparse(xs, sketch, rng, t0):
         w_by_mode = np.ascontiguousarray(
             q.reshape(t_next, n_j, t_dim).transpose(1, 0, 2)
         )
-        vals = _kernels.sparse_update(mu, rows, vals, w_by_mode, xs.nnz)
-        codes = heads
+        vals = _kernels.sparse_update(mu, vals, w_by_mode)
         t_dim = t_next
     w1 = np.zeros((shape[0], t_dim))
-    np.add.at(w1, codes.astype(np.int64), vals)
+    np.add.at(w1, xs.idx[order, 0], vals)
     cores[0] = w1
     result = TTTensor(cores, ortho="right")
     report = DecompositionReport(

@@ -15,8 +15,6 @@ put one record per line for dense values and sparse entries and one
 core per line for trains.  All values must be finite.
 """
 
-import math
-
 import numpy as np
 
 from .tensor import SparseTensor, check_dense_size, check_shape, element_count
@@ -114,23 +112,43 @@ def load_sparse(text):
     nnz = _take_int(take, "sparse header")
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
-    idx = np.empty((nnz, d), dtype=np.int64)
-    values = np.empty(nnz)
-    for row in range(nnz):
-        for k in range(d):
-            i = _take_int(take, "sparse entry") - 1
-            if i < 0 or i >= shape[k]:
+    # The entries as one table: d 1-based indices and a value per entry.
+    table = take(nnz * (d + 1))
+    values = np.array(table[d::d + 1], dtype=np.float64)
+    del table[d::d + 1]
+    try:
+        idx = np.array(table, dtype=np.int64).reshape(nnz, d)
+    except (ValueError, OverflowError):
+        # Name the first token that is no integer or no valid index.
+        for pos, tok in enumerate(table):
+            try:
+                i = int(tok)
+            except ValueError:
                 raise ValueError(
-                    f"entry {row + 1}: index {i + 1} out of range for mode "
-                    f"size {shape[k]} (indices are 1-based)"
-                )
-            idx[row, k] = i
-        v = float(take())
-        if not math.isfinite(v):
-            raise ValueError(f"entry {row + 1}: non-finite value")
-        values[row] = v
+                    f"expected an integer in sparse entry, got {tok!r}"
+                ) from None
+            if not 1 <= i <= shape[pos % d]:
+                raise _index_error(pos // d, pos % d, i, shape) from None
+        raise
+    del table
+    idx -= 1
+    bad = (idx < 0) | (idx >= shape)
+    bad_entry = bad.any(axis=1) | ~np.isfinite(values)
+    if bad_entry.any():
+        row = int(np.argmax(bad_entry))
+        if bad[row].any():
+            k = int(np.argmax(bad[row]))
+            raise _index_error(row, k, int(idx[row, k]) + 1, shape)
+        raise ValueError(f"entry {row + 1}: non-finite value")
     done()
     return SparseTensor(shape, idx, values)
+
+
+def _index_error(row, k, i, shape):
+    return ValueError(
+        f"entry {row + 1}: index {i} out of range for mode "
+        f"size {shape[k]} (indices are 1-based)"
+    )
 
 
 def save_tt(path, t):

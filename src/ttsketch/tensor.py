@@ -159,19 +159,28 @@ class SparseTensor:
             raise ValueError("values length does not match index rows")
         if not np.all(np.isfinite(values)):
             raise ValueError("sparse values must be finite")
-        for k, n in enumerate(self.shape):
-            col = idx[:, k]
-            if col.size and (col.min() < 0 or col.max() >= n):
-                raise ValueError(f"index out of range in mode {k} for size {n}")
+        if idx.shape[0]:
+            bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= self.shape)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    f"index out of range in mode {k} for size {self.shape[k]}"
+                )
         keep = values != 0.0
         idx = idx[keep]
         values = values[keep]
         if idx.shape[0] > 1:
-            order = np.lexsort(tuple(idx[:, k] for k in range(d - 1, -1, -1)))
+            # Big-endian bytes of nonnegative indices compare like the
+            # numbers, so sorting each row as one byte string gives the
+            # row-major (lexicographic) order.
+            row = np.dtype((np.void, 8 * d))
+            order = np.argsort(
+                np.ascontiguousarray(idx, dtype=">u8").view(row).ravel()
+            )
             idx = idx[order]
             values = values[order]
-            dup = np.all(idx[1:] == idx[:-1], axis=1)
-            if np.any(dup):
+            rows = idx.view(row).ravel()
+            if np.any(rows[1:] == rows[:-1]):
                 raise ValueError("duplicate multi-indices in sparse tensor")
         self.idx = idx
         self.values = values

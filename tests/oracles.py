@@ -50,6 +50,46 @@ def ref_index(key, counter, bound):
     return ((ref_value(key, counter) >> 11) * bound) >> 53
 
 
+def ref_step_heads(idx, shape):
+    """Per-step sketch counters of the sparse path, via python-int codes.
+
+    Yields (j, mu, heads, p_mod) for the steps j = d..2: each entry's
+    full row-major position is a python int, mu = code % n_j and the head
+    code // n_j are peeled off one mode at a time, and the heads and the
+    leading dimension p_mod are reduced mod 2**64 only at the end.
+    """
+    d = len(shape)
+    codes = []
+    for row in idx:
+        pos = 0
+        for k in range(d):
+            pos = pos * int(shape[k]) + int(row[k])
+        codes.append(pos)
+    space = 1
+    for n in shape:
+        space *= int(n)
+    for j in range(d, 1, -1):
+        n_j = int(shape[j - 1])
+        space //= n_j
+        mu = np.array([c % n_j for c in codes], dtype=np.int64)
+        codes = [c // n_j for c in codes]
+        heads = np.array([c % 2 ** 64 for c in codes], dtype=np.uint64)
+        yield j, mu, heads, space % 2 ** 64
+
+
+def ref_sparse_sketch(mu, vals, gam, n_j):
+    """Per-entry scatter: a[mu[i]] += outer(gam[i], vals[i])."""
+    a = np.zeros((n_j, gam.shape[1], vals.shape[1]))
+    contrib = gam[:, :, None] * vals[:, None, :]
+    np.add.at(a, mu, contrib)
+    return a
+
+
+def ref_sparse_update(mu, vals, w):
+    """Per-entry product: row i is w[mu[i]] @ vals[i]."""
+    return np.einsum("ikq,iq->ik", w[mu], vals)
+
+
 def naive_matricize(x, row_modes):
     """Index-map unfolding: loop every entry, place it by mixed radix."""
     x = np.asarray(x)

@@ -78,6 +78,31 @@ def test_sparse_errors():
         load_sparse("sparse 2 3 3 -1")
 
 
+def test_sparse_entry_errors_name_the_entry():
+    with pytest.raises(ValueError, match="truncated"):
+        load_sparse("sparse 2 3 3 2 1 1 5.0 1 2")
+    with pytest.raises(ValueError, match="trailing"):
+        load_sparse("sparse 2 3 3 1 1 1 5.0 2")
+    with pytest.raises(ValueError, match="expected an integer .* '1.5'"):
+        load_sparse("sparse 2 3 3 2 1 1 5.0 1.5 1 2.0")
+    with pytest.raises(ValueError, match="entry 2: index 0 out of range"):
+        load_sparse("sparse 2 3 3 2 1 1 5.0 2 0 2.0")
+    with pytest.raises(ValueError, match="entry 2: index 10000000000000000000000"):
+        load_sparse("sparse 2 3 3 2 1 1 5.0 1 10000000000000000000000 2.0")
+    # the first bad entry wins, whatever is wrong with it
+    with pytest.raises(ValueError, match="entry 1: non-finite"):
+        load_sparse("sparse 2 3 3 2 1 1 inf 1 4 2.0")
+    with pytest.raises(ValueError, match="entry 2: index 4"):
+        load_sparse("sparse 2 3 3 3 1 1 1.0 1 4 2.0 2 2 nan")
+
+
+def test_sparse_line_breaks_are_cosmetic():
+    x = load_sparse("sparse 3\n2 3 4 2\n1 1\n1 0.5 2 3 4\n-2.0\n")
+    assert x.shape == (2, 3, 4)
+    assert x.idx.tolist() == [[0, 0, 0], [1, 2, 3]]
+    assert x.values.tolist() == [0.5, -2.0]
+
+
 def test_tt_errors():
     with pytest.raises(ValueError):
         load_tt("tt 1 5")

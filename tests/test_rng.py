@@ -1,8 +1,4 @@
-"""Counter-based stream behavior: anchors, statistics, backend agreement."""
-
-import os
-import subprocess
-import sys
+"""Counter-based stream behavior: anchors and statistics."""
 
 import numpy as np
 import pytest
@@ -121,30 +117,3 @@ def test_index_draws_layout_and_bounds():
     with pytest.raises(ValueError):
         rng.index_draws(3, (4, 0))
 
-
-def test_backend_agreement_in_other_process():
-    # The integer stream must be bit-identical across backends; normals
-    # may differ in the last ulps of the transcendental functions.
-    script = (
-        "import numpy as np\n"
-        "from ttsketch import _kernels as K\n"
-        "c = np.arange(256, dtype=np.uint64)\n"
-        "key = np.uint64(K.key_from_seed(42))\n"
-        "idx = K.indices_at(key, c, np.uint64(977))\n"
-        "nrm = K.normals_at(key, c)\n"
-        "print(','.join(str(int(v)) for v in idx))\n"
-        "print(','.join(repr(float(v)) for v in nrm))\n"
-    )
-    env = dict(os.environ)
-    env["TTSKETCH_NUMBA"] = "0" if K.NUMBA_ENABLED else "1"
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env,
-        capture_output=True, text=True, check=True,
-    )
-    idx_line, nrm_line = out.stdout.strip().splitlines()
-    other_idx = np.array([int(t) for t in idx_line.split(",")])
-    other_nrm = np.array([float(t) for t in nrm_line.split(",")])
-    c = np.arange(256, dtype=np.uint64)
-    key = np.uint64(K.key_from_seed(42))
-    assert np.array_equal(K.indices_at(key, c, np.uint64(977)), other_idx)
-    assert np.max(np.abs(K.normals_at(key, c) - other_nrm)) < 1e-12

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as o
 from ttsketch import RngStream, SparseTensor, contract, dematricize, matricize
@@ -174,6 +176,38 @@ def test_sparse_canonical_order_and_validation():
         SparseTensor((3, 3), [[3, 0]], [1.0])
     with pytest.raises(ValueError):
         SparseTensor((3, 3), [[0, 0]], [np.inf])
+
+
+def test_sparse_range_error_names_first_bad_mode():
+    with pytest.raises(ValueError, match="mode 1 for size 4"):
+        SparseTensor((3, 4, 5), [[0, 0, 0], [2, 4, 5]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="mode 0 for size 3"):
+        SparseTensor((3, 4), [[0, 0], [-1, 1]], [1.0, 2.0])
+
+
+@st.composite
+def coordinate_lists(draw):
+    # Mode sizes around byte and word boundaries, so that the byte-string
+    # sort must agree with the numeric order across bytes.
+    sizes = st.sampled_from([1, 2, 3, 255, 256, 257, 2 ** 32 + 1, 2 ** 62])
+    shape = tuple(draw(st.lists(sizes, min_size=1, max_size=5)))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in shape)),
+                         max_size=30, unique=True))
+    return shape, np.array(rows, dtype=np.int64).reshape(-1, len(shape))
+
+
+@given(coordinate_lists())
+@settings(max_examples=60, deadline=None)
+def test_sparse_canonical_order_matches_lexsort(case):
+    shape, idx = case
+    values = np.arange(1.0, idx.shape[0] + 1.0)
+    xs = SparseTensor(shape, np.asfortranarray(idx), values)
+    order = np.lexsort(idx.T[::-1])
+    assert np.array_equal(xs.idx, idx[order])
+    assert np.array_equal(xs.values, values[order])
+    if idx.shape[0]:
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseTensor(shape, np.vstack([idx, idx[-1:]]), np.append(values, 1.0))
 
 
 def test_dense_size_guard():
