@@ -1,10 +1,19 @@
 """Hot numeric kernels, vectorized with numpy.
 
 The counter-based stream (splitmix64 mixing, Box-Muller normals, bounded
-index draws) and the two contractions of a sparse sketch step.  Those
-take the stored entries sorted by their index in the current mode and
-run one matrix product per run of equal mode values, so a step costs
-O(N*s*t) in BLAS-3 calls for N entries, s sketch rows and t columns.
+index draws) and the two contractions of a sparse sketch step.
+
+Normals are drawn in chunks of _CHUNK counters.  Each chunk is mixed and
+transformed in place in two scratch arrays that stay in cache and is
+written straight into the preallocated output, so a draw of any size
+holds the output plus a fixed few hundred kilobytes.  The integer and
+float operations per counter are the same, in the same order, as in a
+one-shot draw, so the values are bit-identical to the unchunked stream.
+
+The sketch contractions take the stored entries sorted by their index in
+the current mode and run one matrix product per run of equal mode
+values, so a step costs O(N*s*t) in BLAS-3 calls for N entries, s sketch
+rows and t columns.
 """
 
 import math
@@ -58,25 +67,72 @@ def derive_key(key, index):
 # ---------------------------------------------------------------------------
 # Vectorized stream
 
+# Counters per chunk: the chunk's counters, its two uint64 scratch arrays
+# and its slice of the output take 512 KiB, within a core's L2.
+_CHUNK = 1 << 14
+_U_2PHI = np.uint64((2 * _PHI) & _MASK)
+
+
 def _values_np(key, counters):
     """Raw 64-bit outputs at the given counters (uint64 array in, uint64 out)."""
-    z = (np.uint64(key) + (counters + _U1) * _U_PHI)
-    z ^= z >> _U30
-    z *= _U_M1
-    z ^= z >> _U27
-    z *= _U_M2
-    z ^= z >> _U31
+    z = counters * _U_PHI
+    z += np.uint64((int(key) + _PHI) & _MASK)
+    _mix_into(z, np.empty_like(z))
     return z
+
+
+def _mix_into(z, scratch):
+    """splitmix64 finalizer of z, in place; scratch has z's shape."""
+    np.right_shift(z, _U30, out=scratch)
+    z ^= scratch
+    z *= _U_M1
+    np.right_shift(z, _U27, out=scratch)
+    z ^= scratch
+    z *= _U_M2
+    np.right_shift(z, _U31, out=scratch)
+    z ^= scratch
+
+
+def _normals_into(key, c, out):
+    """Write the normals at counters c (1-d) of the stream `key` into out.
+
+    The normal at counter c is the Box-Muller transform of the raw outputs
+    at counters 2c and 2c+1, the mixes of key + (2c+1)*phi and
+    key + (2c+2)*phi mod 2**64.
+    """
+    z = np.empty(c.shape, dtype=np.uint64)
+    scratch = np.empty_like(z)
+    key = int(key)
+    # u1 = ((v1 >> 11) + 1) * 2**-53 in (0, 1]; out = sqrt(-2 log u1)
+    np.multiply(c, _U_2PHI, out=z)
+    z += np.uint64((key + _PHI) & _MASK)
+    _mix_into(z, scratch)
+    z >>= _U11
+    z += _U1
+    np.multiply(z, _TWO53_INV, out=out)
+    np.log(out, out=out)
+    out *= -2.0
+    np.sqrt(out, out=out)
+    # u2 = (v2 >> 11) * 2**-53 in [0, 1); out *= cos(2 pi u2)
+    np.multiply(c, _U_2PHI, out=z)
+    z += np.uint64((key + 2 * _PHI) & _MASK)
+    _mix_into(z, scratch)
+    z >>= _U11
+    u2 = scratch.view(np.float64)
+    np.multiply(z, _TWO53_INV, out=u2)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    out *= u2
 
 
 def normals_at(key, counters):
     """Normals at the given counters (uint64 array) of the stream `key`."""
-    c2 = counters.astype(np.uint64) * np.uint64(2)
-    v1 = _values_np(key, c2)
-    v2 = _values_np(key, c2 + _U1)
-    u1 = ((v1 >> _U11) + _U1).astype(np.float64) * _TWO53_INV   # (0, 1]
-    u2 = (v2 >> _U11).astype(np.float64) * _TWO53_INV           # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    flat = np.asarray(counters).reshape(-1)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _CHUNK):
+        c = flat[lo:lo + _CHUNK].astype(np.uint64, copy=False)
+        _normals_into(key, c, out[lo:lo + _CHUNK])
+    return out.reshape(np.shape(counters))
 
 
 def indices_at(key, counters, bound):
@@ -89,12 +145,17 @@ def gammas_at(heads, s_prev, p_mod, key):
     """Sketch rows met by stored entries: normals at counters head + k*p_mod.
 
     Row u, column k is the dense Gaussian g[k, heads[u]] of a sketch step
-    whose leading dimension is p_mod (mod 2**64), for k < s_prev.
+    whose leading dimension is p_mod (mod 2**64), for k < s_prev.  Rows
+    are drawn in blocks of about _CHUNK normals (one row per block when a
+    row alone is longer).
     """
     ks = np.arange(s_prev, dtype=np.uint64) * np.uint64(p_mod)
-    counters = heads[:, None] + ks[None, :]
-    flat = normals_at(key, counters.ravel())
-    return flat.reshape(heads.shape[0], s_prev)
+    out = np.empty((heads.shape[0], s_prev))
+    step = max(1, _CHUNK // s_prev)
+    for lo in range(0, heads.shape[0], step):
+        counters = heads[lo:lo + step, None] + ks[None, :]
+        _normals_into(key, counters.reshape(-1), out[lo:lo + step].reshape(-1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,5 +196,8 @@ def sparse_update(mu, vals, w):
 
 def standard_normals(key, count):
     """Normals at counters 0..count-1 for the stream with the given key."""
-    counters = np.arange(count, dtype=np.uint64)
-    return normals_at(np.uint64(key), counters)
+    out = np.empty(count)
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        _normals_into(key, np.arange(lo, hi, dtype=np.uint64), out[lo:hi])
+    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import qr, rq_row_orthonormal
-from .tensor import check_dense_size, element_count
+from .tensor import check_dense_size, check_finite, element_count
 from .tt import TTTensor, clip_ranks, left_unfold, right_unfold
 
 
@@ -115,6 +115,7 @@ def als_half_sweep(f, config, rng):
     check_dense_size(shape)
     if not f.any():
         raise ValueError("ALS target must be nonzero")
+    check_finite(f)
     ranks = clip_ranks(shape, config.ranks)
     tail_cores = _draw_tail_cores(shape, ranks, rng)
     result, objectives = _sweep_left_to_right(f, tail_cores)

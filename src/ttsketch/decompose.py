@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .linalg import numerical_rank, rq_row_orthonormal, svd
-from .tensor import SparseTensor, element_count, norm
+from .tensor import SparseTensor, check_finite, element_count, norm
 from .tt import TTTensor, clip_ranks, tt_evaluate, zero_tt
 
 _E = math.e
@@ -153,6 +153,7 @@ def _svd_sweep(x, pick_rank):
             degenerate=True,
         )
         return zero_tt(shape), report
+    check_finite(x)
     cores = []
     discarded = []
     cur = x.reshape(shape[0], -1)
@@ -343,6 +344,8 @@ def randomized_tt_svd(x, sketch_ranks, rng, oversampling=None):
     Wider sketches pad cores with arbitrary orthonormal directions that
     may differ between the paths; the represented tensor still agrees.
 
+    Dense input holding NaN or inf raises ValueError.
+
     Passing `oversampling` (the p inside the sketch sizes) adds the
     informational spectral-tail coefficient and its probability floor
     to the report; nothing else changes.
@@ -382,6 +385,7 @@ def randomized_tt_svd(x, sketch_ranks, rng, oversampling=None):
         )
         return zero_tt(shape), report
     else:
+        check_finite(x)
         result, report = _randomized_dense(x, sketch, rng, t0)
     if oversampling is not None:
         _attach_range_bound(report, shape, sketch, oversampling)

@@ -211,20 +211,13 @@ def _sparse_exact_count(shape, nnz, stream):
     want = nnz
     while True:
         rows = stream.substream(0).index_draws(want, shape)
-        seen = set()
-        keep = []
-        for row in rows:
-            pos = tuple(int(v) for v in row)
-            if pos not in seen:
-                seen.add(pos)
-                keep.append(pos)
-                if len(keep) == nnz:
-                    break
-        if len(keep) == nnz:
+        _, first = np.unique(rows, axis=0, return_index=True)
+        if first.size >= nnz:
             break
         want *= 2
+    keep = rows[np.sort(first)[:nnz]]
     values = stream.substream(1).normals(nnz)
-    return SparseTensor(shape, np.array(keep, dtype=np.int64), values)
+    return SparseTensor(shape, keep, values)
 
 
 def _runtime_sample(cfg, param, sample_idx, stream):

@@ -37,21 +37,9 @@ def gaussian_sparse(shape, nnz, rng):
         return SparseTensor(shape, np.empty((0, len(shape)), dtype=np.int64), [])
     idx = rng.substream(0).index_draws(nnz, shape)
     values = rng.substream(1).normals(nnz)
-    if total < 2 ** 62:
-        strides = np.empty(len(shape), dtype=np.int64)
-        acc = 1
-        for k in range(len(shape) - 1, -1, -1):
-            strides[k] = acc
-            acc *= shape[k]
-        codes = idx @ strides
-        # np.unique keeps the first occurrence; scan reversed to keep the last.
-        _, first_in_rev = np.unique(codes[::-1], return_index=True)
-        keep = np.sort(nnz - 1 - first_in_rev)
-    else:
-        last = {}
-        for i in range(nnz):
-            last[tuple(idx[i])] = i
-        keep = np.sort(np.fromiter(last.values(), dtype=np.int64))
+    # np.unique keeps the first occurrence; scan reversed to keep the last.
+    _, first_in_rev = np.unique(idx[::-1], axis=0, return_index=True)
+    keep = np.sort(nnz - 1 - first_in_rev)
     return SparseTensor(shape, idx[keep], values[keep])
 
 

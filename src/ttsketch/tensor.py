@@ -42,6 +42,16 @@ def check_dense_size(shape):
     return total
 
 
+def check_finite(x):
+    """Reject a dense tensor holding NaN or inf.
+
+    A NaN makes min and max NaN and an inf makes one of them infinite, so
+    two reductions find both without an x.size boolean mask.
+    """
+    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise ValueError("dense tensor entries must be finite")
+
+
 def _check_modes(modes, d, what="mode set"):
     modes = tuple(int(m) for m in modes)
     if len(modes) == 0:

@@ -46,6 +46,52 @@ def ref_normal(key, i):
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+def ref_normals_vec(key, counters):
+    """Normals at the given counters in one vectorized pass.
+
+    The unchunked stream: every intermediate (both counter arrays, both
+    raw outputs, both uniforms) is built at full size, with the same
+    integer and float operations as ref_normal.
+    """
+    def values(c):
+        z = np.uint64(key) + (c + np.uint64(1)) * np.uint64(_PHI)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_M1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_M2)
+        z ^= z >> np.uint64(31)
+        return z
+
+    c2 = np.asarray(counters).astype(np.uint64) * np.uint64(2)
+    v1 = values(c2)
+    v2 = values(c2 + np.uint64(1))
+    u1 = ((v1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    u2 = (v2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+def ref_keep_last(idx):
+    """Row numbers of the last draw of each distinct index row, ascending."""
+    last = {}
+    for i, row in enumerate(idx):
+        last[tuple(int(v) for v in row)] = i
+    return sorted(last.values())
+
+
+def ref_first_distinct(rows, count):
+    """The first `count` distinct rows in draw order, or None if fewer."""
+    seen = set()
+    keep = []
+    for row in rows:
+        pos = tuple(int(v) for v in row)
+        if pos not in seen:
+            seen.add(pos)
+            keep.append(pos)
+            if len(keep) == count:
+                return np.array(keep, dtype=np.int64)
+    return None
+
+
 def ref_index(key, counter, bound):
     return ((ref_value(key, counter) >> 11) * bound) >> 53
 

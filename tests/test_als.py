@@ -77,3 +77,11 @@ def test_validation():
         als_half_sweep(np.ones(3), AlsConfig(1), rng)
     with pytest.raises(ValueError):
         AlsConfig(1, sweeps=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_target_rejected(bad):
+    f = np.ones((3, 4, 2))
+    f[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        als_half_sweep(f, AlsConfig(2), RngStream(87))

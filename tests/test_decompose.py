@@ -251,6 +251,19 @@ def test_randomized_zero_and_report():
     assert report.wall_time_s > 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("decompose", [
+    lambda x: tt_svd_exact(x),
+    lambda x: tt_svd_truncated(x, 2),
+    lambda x: randomized_tt_svd(x, 2, RngStream(72)),
+], ids=["exact", "truncated", "randomized"])
+def test_non_finite_dense_input_rejected(decompose, bad):
+    x = np.ones((3, 4, 2))
+    x[2, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decompose(x)
+
+
 def test_randomized_error_never_exceeds_norm():
     rng = RngStream(70)
     for trial in range(5):

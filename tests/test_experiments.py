@@ -2,12 +2,18 @@
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles as o
+from ttsketch import RngStream, SparseTensor
 
 from ttsketch.experiments import (
     CSV_COLUMNS, CSV_VERSION, ExperimentConfig, NOISE_GRID, ORDER_GRID,
-    OVERSAMPLING_GRID, RUNTIME_GRID, read_csv, resolve_config, run_experiment,
-    write_csv,
+    OVERSAMPLING_GRID, RUNTIME_GRID, _sparse_exact_count, read_csv,
+    resolve_config, run_experiment, write_csv,
 )
 
 TINY = dict(d=4, n=3, r_star=2, r=2, samples=2)
@@ -103,6 +109,24 @@ def test_runtime_experiment_rows():
     text = _csv_text(records)
     row = text.splitlines()[2].split(",")
     assert row[4] == "" and row[5] == ""  # blank unset columns
+
+
+@example((2, 2, 2), 8, 1)    # every position: redraws until all are seen
+@example((2,) * 8, 40, 11)   # the runtime study's first shape
+@given(st.sampled_from([(2, 2, 2), (3, 4), (2,) * 8, (2,) * 70]),
+       st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_sparse_exact_count_matches_set_loop(shape, nnz, seed):
+    stream = RngStream(seed)
+    xs = _sparse_exact_count(shape, nnz, stream)
+    want = nnz
+    while (keep := o.ref_first_distinct(
+            stream.substream(0).index_draws(want, shape), nnz)) is None:
+        want *= 2
+    ref = SparseTensor(shape, keep, stream.substream(1).normals(nnz))
+    assert xs.nnz == nnz
+    assert np.array_equal(xs.idx, ref.idx)
+    assert np.array_equal(xs.values, ref.values)
 
 
 def test_decay_experiment_runs():

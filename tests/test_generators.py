@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import oracles as o
+
 from ttsketch import (
-    RngStream, gaussian_dense, gaussian_sparse, noisy_low_rank, random_tt,
+    RngStream, SparseTensor, gaussian_dense, gaussian_sparse, noisy_low_rank, random_tt,
     random_tt_decay, sparse_to_dense, tt_evaluate, matricize,
 )
 from ttsketch.generators import decay_values
@@ -41,6 +45,25 @@ def test_gaussian_sparse_keep_last_dedup():
     assert xs.nnz == len(want)
     got = {tuple(r): v for r, v in zip(xs.idx, xs.values)}
     assert got == want
+
+
+@example((2,) * 40, 30, 1)
+@example((2,) * 80, 30, 2)
+@example((3, 2, 4), 24, 3)
+@given(st.sampled_from([(2,) * 40, (2,) * 80, (3, 2, 4), (5, 5)]),
+       st.integers(1, 24), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_gaussian_sparse_matches_dict_dedup(shape, nnz, seed):
+    # Below and above 2**62 elements the kept draws are those of the
+    # python-dict loop: the last draw of every distinct position.
+    rng = RngStream(seed)
+    idx = rng.substream(0).index_draws(nnz, shape)
+    values = rng.substream(1).normals(nnz)
+    keep = o.ref_keep_last(idx)
+    want = SparseTensor(shape, idx[keep], values[keep])
+    xs = gaussian_sparse(shape, nnz, rng)
+    assert np.array_equal(xs.idx, want.idx)
+    assert np.array_equal(xs.values, want.values)
 
 
 def test_gaussian_sparse_occupancy_uniform():

@@ -1,5 +1,6 @@
-"""Grouped sparse kernels and uint64 prefix codes against per-entry oracles."""
+"""Chunked normals, grouped sparse kernels and uint64 prefix codes against oracles."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,79 @@ import oracles as o
 from ttsketch import RngStream, SparseTensor, randomized_tt_svd
 from ttsketch import _kernels as K
 from ttsketch.decompose import _prefix_codes
+
+
+C = K._CHUNK
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+KEYS = st.integers(0, 2 ** 64 - 1)
+
+
+@example(0, 1)
+@example(1, 2 ** 64 - 1)
+@example(C - 1, 3)
+@example(C, 4)
+@example(C + 1, 5)
+@example(3 * C + 5, 6)
+@given(st.integers(0, 3 * C + 7), KEYS)
+@settings(max_examples=25, deadline=None)
+def test_standard_normals_match_unchunked_stream(count, key):
+    got = K.standard_normals(key, count)
+    assert _same_bits(got, o.ref_normals_vec(key, np.arange(count, dtype=np.uint64)))
+
+
+@example(2 ** 63 - 3, 7, 1)            # 2c crosses 2**64
+@example(2 ** 64 - 4, 9, 2)            # c itself wraps to 0
+@example(2 ** 64 - C // 2, C + 3, 3)   # the wrap inside a chunk, two chunks
+@given(st.sampled_from([2 ** 63, 2 ** 64]).flatmap(
+           lambda edge: st.integers(edge - 2 * C, edge - 1)),
+       st.integers(1, 2 * C + 3), KEYS)
+@settings(max_examples=25, deadline=None)
+def test_normals_at_wrapping_counters(start, count, key):
+    counters = np.uint64(start) + np.arange(count, dtype=np.uint64)  # wraps
+    got = K.normals_at(np.uint64(key), counters)
+    assert _same_bits(got, o.ref_normals_vec(key, counters))
+    assert _same_bits(K.normals_at(np.uint64(key), counters.reshape(1, -1)),
+                      got.reshape(1, -1))
+
+
+@example(3 * C // 7 + 1, 7, 2 ** 64 - 1, 1)   # N*s_prev not a multiple of C
+@example(5, C + 3, 2 ** 62 + 1, 2)            # one row longer than a chunk
+@example(0, 4, 3, 3)                          # no rows
+@given(st.integers(0, 3 * C // 8), st.integers(1, 40),
+       st.integers(0, 2 ** 64 - 1), KEYS)
+@settings(max_examples=25, deadline=None)
+def test_gammas_at_matches_unchunked_stream(n, s_prev, p_mod, key):
+    heads = np.random.default_rng(n + s_prev).integers(
+        0, 2 ** 64, n, dtype=np.uint64, endpoint=False)
+    got = K.gammas_at(heads, s_prev, np.uint64(p_mod), np.uint64(key))
+    ks = np.arange(s_prev, dtype=np.uint64) * np.uint64(p_mod)
+    want = o.ref_normals_vec(key, heads[:, None] + ks[None, :])
+    assert _same_bits(got, want)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunked_draws_hold_little_beyond_their_output():
+    # A one-shot draw holds five full-size temporaries beside its output
+    # (about 9x the output); chunks keep a fixed few hundred kilobytes.
+    count = 2 ** 20
+    assert _peak_bytes(lambda: K.standard_normals(12345, count)) < 8 * count + 2 ** 20
+    n, s = 80_000, 8
+    heads = np.arange(n, dtype=np.uint64) * np.uint64(2 ** 40 + 1)
+    peak = _peak_bytes(lambda: K.gammas_at(heads, s, np.uint64(3 ** 30), np.uint64(7)))
+    assert peak < 8 * n * s + 2 ** 20
 
 
 @st.composite
