@@ -145,9 +145,11 @@ def gammas_at(heads, s_prev, p_mod, key):
     """Sketch rows met by stored entries: normals at counters head + k*p_mod.
 
     Row u, column k is the dense Gaussian g[k, heads[u]] of a sketch step
-    whose leading dimension is p_mod (mod 2**64), for k < s_prev.  Rows
-    are drawn in blocks of about _CHUNK normals (one row per block when a
-    row alone is longer).
+    whose leading dimension is p_mod (mod 2**64), for k < s_prev.  The
+    sparse path passes the codes of the distinct index prefixes of a step,
+    one head per occupied leading position, and gathers the rows to the
+    entries.  Rows are drawn in blocks of about _CHUNK normals (one row
+    per block when a row alone is longer).
     """
     ks = np.arange(s_prev, dtype=np.uint64) * np.uint64(p_mod)
     out = np.empty((heads.shape[0], s_prev))

@@ -26,14 +26,9 @@ from .tt import TTTensor, clip_ranks, left_unfold, right_unfold
 
 @dataclass
 class AlsConfig:
-    """Target ranks and the number of half sweeps to run (default one)."""
+    """Target ranks of the half sweep."""
 
     ranks: object
-    sweeps: int = 1
-
-    def __post_init__(self):
-        if self.sweeps < 1:
-            raise ValueError("sweep count must be positive")
 
 
 def _draw_tail_cores(shape, ranks, rng):
@@ -95,18 +90,13 @@ def _sweep_left_to_right(f, tail_cores):
     return TTTensor(cores, ortho="left"), objectives
 
 
-def _reverse_cores(cores):
-    return [c.T if c.ndim == 2 else c.transpose(2, 1, 0) for c in reversed(cores)]
-
-
 def als_half_sweep(f, config, rng):
-    """Approximate a dense tensor by the configured number of half sweeps.
+    """Approximate a dense tensor by one left-to-right half sweep.
 
-    Returns the train and the objective values ||f - x||^2 recorded
-    after every core update (d per half sweep, non-increasing).  Extra
-    sweeps alternate direction by reversing the mode order.  When the
-    train rank of f is elementwise at most the target, a single half
-    sweep already reaches zero error with probability one.
+    Returns the left-orthogonal train and the objective values
+    ||f - x||^2 recorded after each of the d core updates
+    (non-increasing).  When the train rank of f is elementwise at most
+    the target, the half sweep reaches zero error with probability one.
     """
     f = np.asarray(f, dtype=np.float64)
     shape = f.shape
@@ -117,13 +107,4 @@ def als_half_sweep(f, config, rng):
         raise ValueError("ALS target must be nonzero")
     check_finite(f)
     ranks = clip_ranks(shape, config.ranks)
-    tail_cores = _draw_tail_cores(shape, ranks, rng)
-    result, objectives = _sweep_left_to_right(f, tail_cores)
-    for _ in range(config.sweeps - 1):
-        f = np.ascontiguousarray(np.transpose(f, tuple(range(f.ndim - 1, -1, -1))))
-        tail = _reverse_cores(result.cores)[1:]
-        result, more = _sweep_left_to_right(f, [None] + tail)
-        objectives.extend(more)
-    if config.sweeps % 2 == 0:
-        result = TTTensor(_reverse_cores(result.cores), ortho="right")
-    return result, objectives
+    return _sweep_left_to_right(f, _draw_tail_cores(shape, ranks, rng))

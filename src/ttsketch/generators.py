@@ -69,45 +69,42 @@ def decay_values(count, exponent, cutoff):
     return vals
 
 
-def random_tt_decay(shape, ranks, decay_exponent, cutoff, rng, sweeps=1):
+def random_tt_decay(shape, ranks, decay_exponent, cutoff, rng):
     """Train with prescribed decaying spectra on its unfoldings.
 
     Starts from random_tt (substream 0) and, for each neighbouring pair
     of cores, contracts the pair, takes its SVD and puts the decay
     profile in place of the singular values before splitting again.  One
-    left-to-right sweep (the default) already leaves every unfolding
-    with an approximately polynomial spectrum; the last-treated edge is
-    exact by construction.  Edge ranks grow to the available rank of the
-    pair, so the result is a genuinely high-rank tensor.
+    left-to-right sweep leaves every unfolding with an approximately
+    polynomial spectrum; the last-treated edge is exact by construction.
+    Edge ranks grow to the available rank of the pair, so the result is a
+    genuinely high-rank tensor.
     """
     if decay_exponent <= 0:
         raise ValueError("decay exponent must be positive")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    if sweeps < 1:
-        raise ValueError("sweep count must be positive")
     t = random_tt(shape, ranks, rng.substream(0))
     cores = t.cores
     d = len(cores)
-    for _ in range(sweeps):
-        for i in range(d - 1):
-            left = cores[i]
-            right = cores[i + 1]
-            r_mid = left.shape[-1]
-            lmat = left.reshape(-1, r_mid)
-            rmat = right.reshape(r_mid, -1)
-            merged = lmat @ rmat
-            u, s, vt = svd(merged)
-            k = s.shape[0]
-            vals = decay_values(k, decay_exponent, cutoff)
-            new_left = u if left.ndim == 2 else u.reshape(left.shape[0], left.shape[1], k)
-            carry = vals[:, None] * vt
-            if right.ndim == 2:
-                new_right = carry
-            else:
-                new_right = carry.reshape(k, right.shape[1], right.shape[2])
-            cores[i] = new_left
-            cores[i + 1] = new_right
+    for i in range(d - 1):
+        left = cores[i]
+        right = cores[i + 1]
+        r_mid = left.shape[-1]
+        lmat = left.reshape(-1, r_mid)
+        rmat = right.reshape(r_mid, -1)
+        merged = lmat @ rmat
+        u, s, vt = svd(merged)
+        k = s.shape[0]
+        vals = decay_values(k, decay_exponent, cutoff)
+        new_left = u if left.ndim == 2 else u.reshape(left.shape[0], left.shape[1], k)
+        carry = vals[:, None] * vt
+        if right.ndim == 2:
+            new_right = carry
+        else:
+            new_right = carry.reshape(k, right.shape[1], right.shape[2])
+        cores[i] = new_left
+        cores[i + 1] = new_right
     return TTTensor(cores)
 
 

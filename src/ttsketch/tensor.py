@@ -140,12 +140,39 @@ def norm(x):
     return float(np.linalg.norm(np.asarray(x).ravel()))
 
 
+def first_differing_mode(idx):
+    """Mode in which each row of an (nnz, d) index array first differs from
+    the row before it.
+
+    Row 0, which has no row before it, and a row equal to the row before it
+    both get 0.  The result has the narrowest unsigned type that holds d.
+    """
+    split = np.zeros(idx.shape[0], dtype=np.min_scalar_type(idx.shape[1]))
+    if idx.shape[0] > 1:
+        split[1:] = np.argmax(idx[1:] != idx[:-1], axis=1)
+    return split
+
+
 def linear_index(idx, shape):
     """Row-major linear position of a multi-index (python int, never wraps)."""
     pos = 0
     for i, n in zip(idx, shape):
         pos = pos * int(n) + int(i)
     return pos
+
+
+def _strictly_increasing(idx):
+    """Whether the rows of idx are in strict row-major order: each row is
+    larger than the row before it in the first mode where the two differ
+    (equal rows differ nowhere and compare equal in mode 0)."""
+    # Mode 0 alone already rejects most unordered input, in O(nnz).
+    if np.any(idx[1:, 0] < idx[:-1, 0]):
+        return False
+    split = first_differing_mode(idx)[1:, None]
+    return bool(np.all(
+        np.take_along_axis(idx[1:], split, axis=1)
+        > np.take_along_axis(idx[:-1], split, axis=1)
+    ))
 
 
 class SparseTensor:
@@ -179,7 +206,9 @@ class SparseTensor:
         keep = values != 0.0
         idx = idx[keep]
         values = values[keep]
-        if idx.shape[0] > 1:
+        # Rows already in canonical order, as save_sparse writes them, are
+        # kept as given; anything else is sorted and checked for duplicates.
+        if idx.shape[0] > 1 and not _strictly_increasing(idx):
             # Big-endian bytes of nonnegative indices compare like the
             # numbers, so sorting each row as one byte string gives the
             # row-major (lexicographic) order.

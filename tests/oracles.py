@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way (explicit
 index loops, Gram-matrix eigenvalues via Jacobi rotations, python-int
 bit mixing) and shares no code with the package, so agreement between
-the two is meaningful.
+the two is meaningful.  The one exception is ref_randomized_sparse, which
+keeps the package's arithmetic and changes only how the sketch rows are
+drawn, so that the two can be compared bit for bit.
 """
 
 import math
@@ -92,6 +94,23 @@ def ref_first_distinct(rows, count):
     return None
 
 
+def ref_canonical(idx, values):
+    """Sparse storage the obvious way: drop zeros, sort the rows as tuples.
+
+    Returns (idx, values) in row-major order, or raises the package's
+    duplicate message when two stored rows are equal.
+    """
+    rows = [(tuple(int(i) for i in row), float(v))
+            for row, v in zip(idx, values) if v != 0.0]
+    rows.sort(key=lambda rv: rv[0])
+    for (a, _), (b, _) in zip(rows, rows[1:]):
+        if a == b:
+            raise ValueError("duplicate multi-indices in sparse tensor")
+    d = np.asarray(idx).shape[1]
+    return (np.array([r for r, _ in rows], dtype=np.int64).reshape(-1, d),
+            np.array([v for _, v in rows], dtype=np.float64))
+
+
 def ref_index(key, counter, bound):
     return ((ref_value(key, counter) >> 11) * bound) >> 53
 
@@ -121,6 +140,61 @@ def ref_step_heads(idx, shape):
         codes = [c // n_j for c in codes]
         heads = np.array([c % 2 ** 64 for c in codes], dtype=np.uint64)
         yield j, mu, heads, space % 2 ** 64
+
+
+def ref_randomized_sparse(xs, sketch, rng):
+    """Cores of the sparse randomized sweep, drawing one row per entry.
+
+    The per-entry draw: every step asks gammas_at for the Gaussian row of
+    each stored entry, so entries sharing a prefix draw the same row again.
+    The bit-identity tests compare the package's one-row-per-prefix draw
+    with it, so unlike the rest of this module it runs the package's own
+    kernels, RQ and prefix codes: only the draw may differ.  `sketch` is
+    one width per edge.
+    """
+    from ttsketch import _kernels as K
+    from ttsketch.decompose import _prefix_codes
+    from ttsketch.linalg import rq_row_orthonormal
+
+    shape = xs.shape
+    d = len(shape)
+    heads = _prefix_codes(xs.idx, shape)
+    vals = xs.values[:, None]
+    cores = [None] * d
+    lead = 1
+    for n in shape:
+        lead *= int(n)
+    t_dim = 1
+    order = np.arange(xs.nnz)
+    for j in range(d, 1, -1):
+        n_j = shape[j - 1]
+        s_prev = sketch[j - 2]
+        lead //= n_j
+        mu = xs.idx[order, j - 1]
+        by_mode = np.argsort(mu, kind="stable")
+        order = order[by_mode]
+        mu = mu[by_mode]
+        vals = vals[by_mode]
+        key = rng.substream(j).key
+        gam = K.gammas_at(
+            heads[j - 1][order], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
+        )
+        a_by_mode = K.sparse_sketch(mu, vals, gam, n_j)
+        a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
+            s_prev, n_j * t_dim
+        )
+        _, q = rq_row_orthonormal(a)
+        t_next = q.shape[0]
+        cores[j - 1] = q if j == d else q.reshape(t_next, n_j, t_dim)
+        w_by_mode = np.ascontiguousarray(
+            q.reshape(t_next, n_j, t_dim).transpose(1, 0, 2)
+        )
+        vals = K.sparse_update(mu, vals, w_by_mode)
+        t_dim = t_next
+    w1 = np.zeros((shape[0], t_dim))
+    np.add.at(w1, xs.idx[order, 0], vals)
+    cores[0] = w1
+    return cores
 
 
 def ref_sparse_sketch(mu, vals, gam, n_j):

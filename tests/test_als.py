@@ -55,28 +55,12 @@ def test_objective_tracks_true_error():
     assert abs(obj[-1] - err2) < 1e-9 * max(1.0, err2)
 
 
-def test_extra_sweeps_do_not_regress():
-    rng = RngStream(85)
-    x = gaussian_dense((3, 4, 3, 4), rng.substream(0))
-    _, obj1 = als_half_sweep(x, AlsConfig(2, sweeps=1), rng.substream(1))
-    t2, obj2 = als_half_sweep(x, AlsConfig(2, sweeps=2), rng.substream(1))
-    assert obj2[: len(obj1)] == obj1
-    for a, b in zip(obj2, obj2[1:]):
-        assert b <= a + 1e-9 * max(1.0, a)
-    assert t2.shape == x.shape
-    assert t2.ortho == "right"
-    err2 = np.linalg.norm((tt_evaluate(t2) - x).ravel()) ** 2
-    assert abs(obj2[-1] - err2) < 1e-9 * max(1.0, err2)
-
-
 def test_validation():
     rng = RngStream(86)
     with pytest.raises(ValueError):
         als_half_sweep(np.zeros((2, 2)), AlsConfig(1), rng)
     with pytest.raises(ValueError):
         als_half_sweep(np.ones(3), AlsConfig(1), rng)
-    with pytest.raises(ValueError):
-        AlsConfig(1, sweeps=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -160,8 +160,6 @@ def test_decay_validation():
         random_tt_decay((4, 4), 2, 0.0, 250, rng)
     with pytest.raises(ValueError):
         random_tt_decay((4, 4), 2, 2.0, 0, rng)
-    with pytest.raises(ValueError):
-        random_tt_decay((4, 4), 2, 2.0, 250, rng, sweeps=0)
 
 
 def test_noisy_low_rank_tau_zero():

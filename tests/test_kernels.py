@@ -1,9 +1,11 @@
-"""Chunked normals, grouped sparse kernels and uint64 prefix codes against oracles."""
+"""Chunked normals, grouped sparse kernels, uint64 prefix codes and the
+one-row-per-prefix Gaussian draw against oracles."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -172,31 +174,153 @@ def test_prefix_codes_match_python_int_heads(x):
         assert np.array_equal(codes[j - 1], heads)
 
 
+def _suffix_order(idx, j):
+    """Rows of step j: the entries sorted by their indices in modes
+    j-1, j, ..., d-1 (mode j-1 first), ties kept in entry order."""
+    return np.lexsort(idx[:, j - 1:].T[::-1])
+
+
 @given(long_sparse(), st.integers(0, 2 ** 16))
 @settings(max_examples=25, deadline=None)
 def test_sketch_gaussians_match_python_int_path(x, seed):
-    # Every Gaussian row the decomposition draws is the one the python-int
-    # counters give, bit for bit; rows come sorted by mode, so both sides
-    # are aligned by head code (equal heads draw equal rows).
-    calls = []
+    # The Gaussian row that each stored entry meets in the sketch is the one
+    # the python-int counters give, bit for bit, and every step draws one
+    # row per distinct index prefix.
+    drawn = []
+    sketched = []
     gammas_at = K.gammas_at
+    sparse_sketch = K.sparse_sketch
 
-    def spy(heads, s_prev, p_mod, key):
-        gam = gammas_at(heads, s_prev, p_mod, key)
-        calls.append((heads.copy(), s_prev, int(p_mod), key, gam))
-        return gam
+    def spy_gammas(heads, s_prev, p_mod, key):
+        drawn.append((heads.shape[0], int(key)))
+        return gammas_at(heads, s_prev, p_mod, key)
 
-    with mock.patch.object(K, "gammas_at", spy):
+    def spy_sketch(mu, vals, gam, n_j):
+        sketched.append((mu.copy(), gam.copy()))
+        return sparse_sketch(mu, vals, gam, n_j)
+
+    with mock.patch.object(K, "gammas_at", spy_gammas), \
+            mock.patch.object(K, "sparse_sketch", spy_sketch):
         randomized_tt_svd(x, (2,) * (x.ndim - 1), RngStream(seed))
     steps = list(o.ref_step_heads(x.idx, x.shape))
-    assert len(calls) == len(steps)
-    for (heads, s_prev, p_mod, key, gam), (_, _, ref_heads, ref_p) in zip(calls, steps):
-        assert p_mod == ref_p
-        mine = np.argsort(heads, kind="stable")
-        ref = np.argsort(ref_heads, kind="stable")
-        assert np.array_equal(heads[mine], ref_heads[ref])
-        want = gammas_at(ref_heads[ref], s_prev, np.uint64(ref_p), key)
-        assert np.array_equal(gam[mine], want)
-        for k in range(s_prev):
-            counter = (int(heads[0]) + k * ref_p) % 2 ** 64
-            assert abs(gam[0, k] - o.ref_normal(int(key), counter)) < 1e-12
+    assert len(drawn) == len(sketched) == len(steps)
+    for (n_heads, key), (mu, gam), (j, ref_mu, ref_heads, ref_p) in zip(
+            drawn, sketched, steps):
+        assert n_heads == len(np.unique(x.idx[:, :j - 1], axis=0))
+        order = _suffix_order(x.idx, j)
+        assert np.array_equal(mu, ref_mu[order])
+        counters = np.array(
+            [[(int(h) + k * ref_p) % 2 ** 64 for k in range(gam.shape[1])]
+             for h in ref_heads[order]], dtype=np.uint64)
+        assert _same_bits(gam, o.ref_normals_vec(key, counters))
+        for k in range(gam.shape[1]):
+            assert abs(gam[0, k] - o.ref_normal(key, int(counters[0, k]))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One Gaussian row per distinct prefix: same cores as the per-entry draw
+
+def _assert_same_cores(x, widths, seed):
+    t, _ = randomized_tt_svd(x, widths, RngStream(seed))
+    want = o.ref_randomized_sparse(x, widths, RngStream(seed))
+    assert len(t.cores) == len(want)
+    for got, ref in zip(t.cores, want):
+        assert _same_bits(got, ref)
+
+
+@st.composite
+def shared_prefix_sparse(draw):
+    """Small mode sizes, so that many stored entries share index prefixes."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=8)))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in shape)),
+                         min_size=1, max_size=40, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    idx = np.array(rows, dtype=np.int64)
+    return SparseTensor(shape, idx, rng.standard_normal(idx.shape[0]))
+
+
+@given(st.one_of(shared_prefix_sparse(), long_sparse()), st.data())
+@settings(max_examples=60, deadline=None)
+def test_prefix_draw_matches_per_entry_draw(x, data):
+    widths = tuple(data.draw(st.lists(st.integers(1, 6), min_size=x.ndim - 1,
+                                      max_size=x.ndim - 1)))
+    _assert_same_cores(x, widths, data.draw(st.integers(0, 2 ** 16)))
+
+
+def _binary_class_b(d):
+    # Entry e (0-7) holds e + 1: modes 0-2 hold the bits of e, the last
+    # three modes the same bits reversed, and every middle mode is 1.  Past
+    # order 66 the weights of modes 0-2 in a prefix code are multiples of
+    # 2**64, so distinct prefixes share a code.
+    e = np.arange(8)
+    bits = (e[:, None] >> np.arange(2, -1, -1)) & 1
+    idx = np.ones((8, d), dtype=np.int64)
+    idx[:, :3] = bits
+    idx[:, -3:] = bits[:, ::-1]
+    return SparseTensor((2,) * d, idx, e + 1.0)
+
+
+def _one_long_prefix():
+    # Nine entries that agree in their first 18 modes.
+    idx = np.zeros((9, 20), dtype=np.int64)
+    idx[:, :18] = 1
+    idx[:, 18:] = np.array([(a, b) for a in range(3) for b in range(3)])
+    return SparseTensor((3,) * 20, idx, np.arange(1.0, 10.0))
+
+
+def _random_binary(d, nnz, seed):
+    rng = np.random.default_rng(seed)
+    idx = np.unique(rng.integers(0, 2, (nnz, d)), axis=0)
+    return SparseTensor((2,) * d, idx, rng.standard_normal(idx.shape[0]))
+
+
+@pytest.mark.parametrize("x, width", [
+    (SparseTensor((3, 4), [[0, 1], [0, 3], [2, 0]], [1.0, -2.0, 0.5]), 2),
+    (SparseTensor((3, 4, 5), [[2, 1, 4]], [3.0]), 2),
+    (_one_long_prefix(), 4),
+    (_random_binary(80, 60, 1), 20),
+    (_binary_class_b(68), 10),
+    (_binary_class_b(90), 10),
+], ids=["order-2", "nnz-1", "one-long-prefix", "binary-80",
+        "class-b-68", "class-b-90"])
+def test_prefix_draw_matches_per_entry_draw_examples(x, width):
+    for seed in range(3):
+        _assert_same_cores(x, (width,) * (x.ndim - 1), seed)
+
+
+@pytest.mark.parametrize("d", [68, 90])
+def test_class_b_input_has_colliding_prefix_codes(d):
+    # The prefixes stay separate runs although their codes coincide, so the
+    # colliding rows keep the values the per-entry draw gives them.
+    x = _binary_class_b(d)
+    codes = _prefix_codes(x.idx, x.shape)
+    prefixes = [len(np.unique(x.idx[:, :k], axis=0)) for k in range(d)]
+    assert any(len(np.unique(codes[k])) < prefixes[k] for k in range(1, d))
+    heads = []
+    gammas_at = K.gammas_at
+
+    def spy(h, s_prev, p_mod, key):
+        heads.append(h.shape[0])
+        return gammas_at(h, s_prev, p_mod, key)
+
+    with mock.patch.object(K, "gammas_at", spy):
+        randomized_tt_svd(x, 10, RngStream(0))
+    assert heads == [prefixes[j - 1] for j in range(d, 1, -1)]
+
+
+def test_sparse_sweep_holds_no_per_level_arrays():
+    # Live at once, beside the input: the prefix codes (d*N uint64), the
+    # result's cores, gammas_at's chunk scratch (its counters and two
+    # uint64 work arrays of _CHUNK entries each) and at most four arrays of
+    # N x s floats (the projected rows, the rows drawn per prefix, the rows
+    # gathered to the entries and the next projected rows).  Everything
+    # else is O(N) or O(s^2 n).  One more array of d*N integers, such as a
+    # run array kept for every level, does not fit.
+    d, s = 80, 20
+    x = _random_binary(d, 500, 5)
+    n = x.nnz
+    widths = (s,) * (d - 1)
+    t, _ = randomized_tt_svd(x, widths, RngStream(3))
+    cores = sum(c.nbytes for c in t.cores)
+    peak = _peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
+    assert peak < d * n * 8 + cores + 3 * C * 8 + 4 * n * s * 8

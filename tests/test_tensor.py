@@ -1,5 +1,7 @@
 """Matricization, contraction and sparse storage against naive oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,74 @@ def test_sparse_canonical_order_matches_lexsort(case):
     if idx.shape[0]:
         with pytest.raises(ValueError, match="duplicate"):
             SparseTensor(shape, np.vstack([idx, idx[-1:]]), np.append(values, 1.0))
+
+
+@st.composite
+def storage_cases(draw):
+    """(shape, idx, values) in canonical order or shuffled, maybe with one
+    duplicated row and explicit zeros, C- or Fortran-ordered."""
+    shape, idx = draw(coordinate_lists())
+    n = idx.shape[0]
+    idx = idx[np.lexsort(idx.T[::-1])]
+    if n and draw(st.booleans()):
+        at = draw(st.integers(0, n - 1))
+        idx = np.insert(idx, at, idx[at], axis=0)  # adjacent, still sorted
+    if draw(st.booleans()):
+        idx = idx[draw(st.permutations(range(idx.shape[0])))]
+    values = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 3.0]),
+                                    min_size=idx.shape[0],
+                                    max_size=idx.shape[0])))
+    if draw(st.booleans()):
+        idx = np.asfortranarray(idx)
+    return shape, idx.reshape(-1, len(shape)), values
+
+
+def _same_storage(shape, idx, values):
+    try:
+        want = o.ref_canonical(idx, values)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            SparseTensor(shape, idx, values)
+        return
+    xs = SparseTensor(shape, idx, values)
+    assert np.array_equal(xs.idx, want[0])
+    assert np.array_equal(xs.values, want[1])
+    assert xs.idx.dtype == np.int64 and xs.idx.flags.c_contiguous
+
+
+_S = (4, 3)
+
+
+@pytest.mark.parametrize("idx, values", [
+    ([[0, 1], [2, 0], [3, 2]], [1.0, 2.0, 3.0]),               # sorted
+    ([[2, 0], [0, 1], [3, 2]], [1.0, 2.0, 3.0]),               # unsorted
+    ([[0, 1], [2, 0], [2, 0], [3, 2]], [1.0, 2.0, 4.0, 3.0]),  # sorted, dup
+    ([[2, 0], [0, 1], [2, 0]], [1.0, 2.0, 4.0]),               # unsorted, dup
+    ([[2, 0], [0, 1], [2, 0]], [1.0, 2.0, 0.0]),               # zero drops dup
+    ([[0, 1], [0, 2], [1, 0]], [1.0, 0.0, 3.0]),               # zero dropped
+    (np.empty((0, 2), dtype=np.int64), []),                   # nnz 0
+    ([[1, 2]], [5.0]),                                          # nnz 1
+    ([[1, 2], [3, 0]], [5.0, 6.0]),                             # nnz 2 sorted
+    ([[3, 0], [1, 2]], [5.0, 6.0]),                             # nnz 2 unsorted
+    ([[3, 0], [3, 0]], [5.0, 6.0]),                             # nnz 2 dup
+    (np.asfortranarray([[0, 1], [2, 0], [3, 2]]), [1.0, 2.0, 3.0]),
+    (np.asfortranarray([[3, 2], [0, 1], [2, 0]]), [1.0, 2.0, 3.0]),
+])
+def test_sparse_storage_matches_sort_oracle_examples(idx, values):
+    _same_storage(_S, np.asarray(idx), np.asarray(values))
+
+
+@given(storage_cases())
+@settings(max_examples=80, deadline=None)
+def test_sparse_storage_matches_sort_oracle(case):
+    _same_storage(*case)
+
+
+def test_canonical_input_skips_the_sort():
+    idx = np.array([[0, 1, 2], [0, 2, 0], [1, 0, 0], [2, 2, 2]])
+    with mock.patch.object(np, "argsort", side_effect=AssertionError):
+        xs = SparseTensor((3, 3, 3), idx, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(xs.idx, idx)
 
 
 def test_dense_size_guard():
