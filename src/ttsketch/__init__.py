@@ -28,7 +28,7 @@ from .generators import (
     random_tt_decay,
 )
 from .rng import RngStream
-from .tensor import SparseTensor, contract, dematricize, matricize, sparse_to_dense
+from .tensor import SparseTensor, contract, matricize, sparse_to_dense
 from .tt import (
     TTTensor,
     clip_ranks,
@@ -53,7 +53,6 @@ __all__ = [
     "clip_ranks",
     "compute_eta",
     "contract",
-    "dematricize",
     "gaussian_dense",
     "gaussian_sparse",
     "matricize",

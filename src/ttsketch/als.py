@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import qr, rq_row_orthonormal
+from .linalg import qr
 from .tensor import check_dense_size, check_finite, element_count
-from .tt import TTTensor, clip_ranks, left_unfold, right_unfold
+from .tt import TTTensor, clip_ranks, orthogonalize_right
 
 
 @dataclass
@@ -33,22 +33,17 @@ class AlsConfig:
 
 def _draw_tail_cores(shape, ranks, rng):
     # Cores 2..d, core j drawn from substream j, then right-orthogonalized
-    # among themselves (the leftover triangular factor at core 2 is
-    # dropped; only the spanned spaces matter for the sweep).
+    # among themselves: a zero placeholder for core 1 takes the leftover
+    # triangular factor and is dropped, as the sweep never reads core 1.
     d = len(shape)
-    cores = [None] * d
+    cores = [np.zeros((shape[0], ranks[0]))]
     for j in range(2, d):
-        cores[j - 1] = rng.substream(j).normals(
+        cores.append(rng.substream(j).normals(
             (ranks[j - 2], shape[j - 1], ranks[j - 1])
-        )
-    cores[d - 1] = rng.substream(d).normals((ranks[d - 2], shape[d - 1]))
-    for j in range(d, 2, -1):
-        r_, q = rq_row_orthonormal(right_unfold(cores[j - 1]))
-        cores[j - 1] = q if j == d else q.reshape(cores[j - 1].shape)
-        prev = cores[j - 2]
-        cores[j - 2] = (left_unfold(prev) @ r_).reshape(prev.shape)
-    _, q = rq_row_orthonormal(right_unfold(cores[1]))
-    cores[1] = q if d == 2 else q.reshape(cores[1].shape)
+        ))
+    cores.append(rng.substream(d).normals((ranks[d - 2], shape[d - 1])))
+    cores = orthogonalize_right(TTTensor(cores)).cores
+    cores[0] = None
     return cores
 
 

@@ -24,7 +24,7 @@ from .experiments import (
 )
 from .fileio import load_tensor_file, save_tt
 from .rng import RngStream
-from .tensor import SparseTensor, check_dense_size, sparse_to_dense
+from .tensor import SparseTensor, sparse_to_dense
 from .tt import clip_ranks, tt_round
 
 
@@ -71,7 +71,7 @@ def _cmd_run(args):
         experiment=args.experiment, d=args.d, n=args.n, r_star=args.r_star,
         r=args.r, p=args.p, tau=args.tau, samples=args.samples,
         seed=args.seed, nnz=args.nnz, decay_exp=args.decay_exp,
-        cutoff=args.cutoff, out=args.out, full_scale=args.full_scale,
+        cutoff=args.cutoff, full_scale=args.full_scale,
         workers=args.workers,
     )
     records = run_experiment(cfg)
@@ -88,20 +88,19 @@ def _cmd_decompose(args):
     x = load_tensor_file(args.input)
     if args.r < 1:
         raise SystemExit("--r must be positive")
+    if args.p < 0:
+        raise SystemExit("--p must be nonnegative")
     shape = x.shape
     if len(shape) < 2:
         raise SystemExit("decomposition needs order >= 2")
     t0 = time.perf_counter()
     if args.method == "det":
         if isinstance(x, SparseTensor):
-            check_dense_size(shape)
             x = sparse_to_dense(x)
         result, report = tt_svd_truncated(x, args.r)
     else:
         sketch = clip_ranks(shape, args.r + args.p)
-        draft, report = randomized_tt_svd(
-            x, sketch, RngStream(args.seed), oversampling=args.p
-        )
+        draft, report = randomized_tt_svd(x, sketch, RngStream(args.seed))
         result = tt_round(draft, args.r)
     elapsed = time.perf_counter() - t0
     save_tt(args.out, result)

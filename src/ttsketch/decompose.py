@@ -61,14 +61,13 @@ class OversamplingSpec:
 
 @dataclass
 class DecompositionReport:
-    """What a decomposition did: achieved ranks, cut energy, wall time."""
+    """What a decomposition did: achieved ranks, cut energy (deterministic
+    sweep only), wall time, and whether the input was zero (degenerate)."""
 
     ranks: tuple
     discarded_energy: tuple = ()
     wall_time_s: float = 0.0
     degenerate: bool = False
-    range_bound_factor: float = None
-    range_bound_probability: float = None
 
     def __post_init__(self):
         if any(e < 0 for e in self.discarded_energy):
@@ -100,19 +99,6 @@ def success_probability(oversampling, t=1.0, u=1.0, steps=1):
     return max(0.0, single) ** int(steps)
 
 
-def spectral_bound_factor(rank, oversampling, min_dim):
-    """Coefficient of the top discarded singular value in the spectral bound."""
-    return 1.0 + 11.0 * math.sqrt((rank + oversampling) * min_dim)
-
-
-def spectral_bound_probability(oversampling):
-    """Probability floor 1 - 6 p^-p attached to the spectral bound."""
-    p = int(oversampling)
-    if p < 1:
-        raise ValueError("the spectral bound needs oversampling >= 1")
-    return 1.0 - 6.0 * p ** (-float(p))
-
-
 def randomized_range(a, spec, rng):
     """Orthonormal columns approximately spanning the range of a.
 
@@ -139,6 +125,15 @@ def relative_error(x, t):
     return float(np.linalg.norm((x - y).ravel()) / nx)
 
 
+def _zero_result(shape, t0):
+    report = DecompositionReport(
+        ranks=(1,) * (len(shape) - 1),
+        wall_time_s=time.perf_counter() - t0,
+        degenerate=True,
+    )
+    return zero_tt(shape), report
+
+
 # ---------------------------------------------------------------------------
 # deterministic sweep
 
@@ -150,12 +145,7 @@ def _svd_sweep(x, pick_rank):
         raise ValueError("decomposition needs order >= 2")
     t0 = time.perf_counter()
     if not x.any():
-        report = DecompositionReport(
-            ranks=(1,) * (d - 1),
-            wall_time_s=time.perf_counter() - t0,
-            degenerate=True,
-        )
-        return zero_tt(shape), report
+        return _zero_result(shape, t0)
     check_finite(x)
     cores = []
     discarded = []
@@ -322,27 +312,7 @@ def _randomized_sparse(xs, sketch, rng, t0):
     return result, report
 
 
-def _attach_range_bound(report, shape, sketch, oversampling):
-    # Informational only: the spectral-form tail coefficient of the worst
-    # step and the per-step probability floor that goes with it.
-    p = int(oversampling)
-    if p < 1:
-        return report
-    d = len(shape)
-    factor = 0.0
-    rows = element_count(shape)
-    for j in range(d, 1, -1):
-        rows //= shape[j - 1]
-        t_dim = sketch[j - 1] if j < d else 1
-        cols = shape[j - 1] * t_dim
-        r_eff = max(1, sketch[j - 2] - p)
-        factor = max(factor, spectral_bound_factor(r_eff, p, min(rows, cols)))
-    report.range_bound_factor = factor
-    report.range_bound_probability = spectral_bound_probability(p)
-    return report
-
-
-def randomized_tt_svd(x, sketch_ranks, rng, oversampling=None):
+def randomized_tt_svd(x, sketch_ranks, rng):
     """Sketch-based train decomposition of a dense or sparse tensor.
 
     `sketch_ranks` (an int or one value per edge) fixes the number of
@@ -362,18 +332,13 @@ def randomized_tt_svd(x, sketch_ranks, rng, oversampling=None):
     Wider sketches pad cores with arbitrary orthonormal directions that
     may differ between the paths; the represented tensor still agrees.
 
-    Dense input holding NaN or inf raises ValueError.
-
-    Passing `oversampling` (the p inside the sketch sizes) adds the
-    informational spectral-tail coefficient and its probability floor
-    to the report; nothing else changes.
+    Dense input holding NaN or inf raises ValueError.  A zero input
+    gives the all-zero train with a degenerate report.
     """
     t0 = time.perf_counter()
-    if isinstance(x, SparseTensor):
-        shape = x.shape
-    else:
+    if not isinstance(x, SparseTensor):
         x = np.asarray(x, dtype=np.float64)
-        shape = x.shape
+    shape = x.shape
     if len(shape) < 2:
         raise ValueError("decomposition needs order >= 2")
     if np.isscalar(sketch_ranks):
@@ -388,23 +353,9 @@ def randomized_tt_svd(x, sketch_ranks, rng, oversampling=None):
             raise ValueError("sketch ranks must be positive")
     if isinstance(x, SparseTensor):
         if x.nnz == 0:
-            report = DecompositionReport(
-                ranks=(1,) * (len(shape) - 1),
-                wall_time_s=time.perf_counter() - t0,
-                degenerate=True,
-            )
-            return zero_tt(shape), report
-        result, report = _randomized_sparse(x, sketch, rng, t0)
-    elif not x.any():
-        report = DecompositionReport(
-            ranks=(1,) * (len(shape) - 1),
-            wall_time_s=time.perf_counter() - t0,
-            degenerate=True,
-        )
-        return zero_tt(shape), report
-    else:
-        check_finite(x)
-        result, report = _randomized_dense(x, sketch, rng, t0)
-    if oversampling is not None:
-        _attach_range_bound(report, shape, sketch, oversampling)
-    return result, report
+            return _zero_result(shape, t0)
+        return _randomized_sparse(x, sketch, rng, t0)
+    if not x.any():
+        return _zero_result(shape, t0)
+    check_finite(x)
+    return _randomized_dense(x, sketch, rng, t0)

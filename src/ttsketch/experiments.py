@@ -82,7 +82,6 @@ class ExperimentConfig:
     nnz: int = None
     decay_exp: float = None
     cutoff: int = None
-    out: str = None
     full_scale: bool = False
     workers: int = 1
 
@@ -112,6 +111,8 @@ def resolve_config(cfg):
     name = cfg.experiment
     if name not in EXPERIMENT_NAMES:
         raise ValueError(f"unknown experiment {name!r}")
+    if cfg.p is not None and cfg.p < 0:
+        raise ValueError("oversampling must be nonnegative")
     base_samples = 256 if cfg.full_scale else 32
     if name == "noise":
         cfg = _fill(cfg, d=10, n=4, r_star=10, r=10, p=5, samples=base_samples)

@@ -3,7 +3,7 @@
 Dense tensors are plain numpy float64 arrays indexed 0-based.  The
 canonical linearization of a mode group is row-major (last index varies
 fastest), which matches numpy's C order, so matricization is a transpose
-followed by a reshape and is exactly invertible.
+followed by a reshape.
 
 Sparse tensors store coordinates explicitly and may describe shapes whose
 dense element count would not be addressable; every densifying operation
@@ -81,28 +81,6 @@ def matricize(x, row_modes):
     return x.transpose(row_modes + col_modes).reshape(rows, cols)
 
 
-def dematricize(m, shape, row_modes):
-    """Inverse of matricize for the given original shape and row modes."""
-    m = np.asarray(m)
-    shape = check_shape(shape)
-    d = len(shape)
-    row_modes = _check_modes(row_modes, d, "row mode set")
-    if any(a >= b for a, b in zip(row_modes, row_modes[1:])):
-        raise ValueError(f"row mode set must be strictly increasing, got {row_modes}")
-    col_modes = tuple(k for k in range(d) if k not in row_modes)
-    rows = element_count(shape[k] for k in row_modes)
-    cols = element_count(shape[k] for k in col_modes)
-    if m.shape != (rows, cols):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match target shape {shape} "
-            f"split over row modes {row_modes}"
-        )
-    perm = row_modes + col_modes
-    inv = np.argsort(perm)
-    grouped = m.reshape(tuple(shape[k] for k in perm))
-    return grouped.transpose(inv)
-
-
 def contract(x, x_modes, y, y_modes):
     """Contract dense tensors over paired modes.
 
@@ -151,14 +129,6 @@ def first_differing_mode(idx):
     if idx.shape[0] > 1:
         split[1:] = np.argmax(idx[1:] != idx[:-1], axis=1)
     return split
-
-
-def linear_index(idx, shape):
-    """Row-major linear position of a multi-index (python int, never wraps)."""
-    pos = 0
-    for i, n in zip(idx, shape):
-        pos = pos * int(n) + int(i)
-    return pos
 
 
 def _strictly_increasing(idx):

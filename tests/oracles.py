@@ -3,9 +3,10 @@
 Everything here is deliberately written the slow, obvious way (explicit
 index loops, Gram-matrix eigenvalues via Jacobi rotations, python-int
 bit mixing) and shares no code with the package, so agreement between
-the two is meaningful.  The one exception is ref_randomized_sparse, which
-keeps the package's arithmetic and changes only how the sketch rows are
-drawn, so that the two can be compared bit for bit.
+the two is meaningful.  The two exceptions are ref_randomized_sparse,
+which keeps the package's arithmetic and changes only how the sketch rows
+are drawn, and ref_draw_tail_cores, which keeps the package's RQ and
+right-orthogonalizes by hand, so that each can be compared bit for bit.
 """
 
 import math
@@ -194,6 +195,34 @@ def ref_randomized_sparse(xs, sketch, rng):
     w1 = np.zeros((shape[0], t_dim))
     np.add.at(w1, xs.idx[order, 0], vals)
     cores[0] = w1
+    return cores
+
+
+def ref_draw_tail_cores(shape, ranks, rng):
+    """Random cores 2..d of the ALS half sweep, right-orthogonalized by hand.
+
+    Core j is drawn from substream j; the RQ sweep runs from core d down to
+    core 2 and drops the leftover triangular factor.  Entry 0 is None.  It
+    uses the package's RQ, so the package's draw through the train's own
+    orthogonalization can be compared with it bit for bit.
+    """
+    from ttsketch.linalg import rq_row_orthonormal
+    from ttsketch.tt import left_unfold, right_unfold
+
+    d = len(shape)
+    cores = [None] * d
+    for j in range(2, d):
+        cores[j - 1] = rng.substream(j).normals(
+            (ranks[j - 2], shape[j - 1], ranks[j - 1])
+        )
+    cores[d - 1] = rng.substream(d).normals((ranks[d - 2], shape[d - 1]))
+    for j in range(d, 2, -1):
+        r_, q = rq_row_orthonormal(right_unfold(cores[j - 1]))
+        cores[j - 1] = q if j == d else q.reshape(cores[j - 1].shape)
+        prev = cores[j - 2]
+        cores[j - 2] = (left_unfold(prev) @ r_).reshape(prev.shape)
+    _, q = rq_row_orthonormal(right_unfold(cores[1]))
+    cores[1] = q if d == 2 else q.reshape(cores[1].shape)
     return cores
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import oracles as o
 from ttsketch import (
     AlsConfig, RngStream, als_half_sweep, clip_ranks, gaussian_dense,
     random_tt, relative_error, tt_evaluate,
 )
+from ttsketch.als import _draw_tail_cores
 from ttsketch.tt import left_unfold
 
 
@@ -69,3 +71,19 @@ def test_non_finite_target_rejected(bad):
     f[1, 2, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         als_half_sweep(f, AlsConfig(2), RngStream(87))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_tail_draw_matches_hand_orthogonalization(d, n):
+    # Requests of 64 at n = 2 clip to 2, 4, ... at both ends of the train.
+    shape = (n,) * d
+    for request in (1, 2, 5, 64):
+        ranks = clip_ranks(shape, request)
+        for seed in range(3):
+            got = _draw_tail_cores(shape, ranks, RngStream(seed))
+            want = o.ref_draw_tail_cores(shape, ranks, RngStream(seed))
+            assert got[0] is None and want[0] is None
+            for a, b in zip(got[1:], want[1:]):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)

@@ -64,13 +64,19 @@ def test_decompose_sparse_rand(tmp_path, capsys):
     assert "time=" in capsys.readouterr().out
 
 
-def test_decompose_rejects_bad_rank(tmp_path):
+@pytest.mark.parametrize("method, flags, message", [
+    ("det", ["--r", "0"], "--r must be positive"),
+    ("rand", ["--r", "1", "--p", "-1"], "--p must be nonnegative"),
+], ids=["r-0", "p-negative"])
+def test_decompose_rejects_bad_rank(tmp_path, method, flags, message):
     x = tt_evaluate(random_tt((3, 3), 1, RngStream(7)))
     src = tmp_path / "m.txt"
     save_dense(src, x)
-    with pytest.raises(SystemExit):
-        main(["decompose", "--input", str(src), "--method", "det",
-              "--r", "0", "--out", str(tmp_path / "m.tt")])
+    dst = tmp_path / "m.tt"
+    with pytest.raises(SystemExit, match=message):
+        main(["decompose", "--input", str(src), "--method", method,
+              *flags, "--out", str(dst)])
+    assert not dst.exists()
 
 
 def test_unknown_experiment_rejected():

@@ -7,12 +7,11 @@ import pytest
 
 import oracles as o
 from ttsketch import (
-    OversamplingSpec, RngStream, TTTensor, clip_ranks, compute_eta,
-    gaussian_dense, gaussian_sparse, random_tt, randomized_range,
+    OversamplingSpec, RngStream, SparseTensor, TTTensor, clip_ranks,
+    compute_eta, gaussian_dense, gaussian_sparse, random_tt, randomized_range,
     randomized_tt_svd, relative_error, success_probability, tt_evaluate,
     tt_norm, tt_svd_exact, tt_svd_truncated, zero_tt,
 )
-from ttsketch.decompose import spectral_bound_factor, spectral_bound_probability
 from ttsketch.tt import right_unfold
 
 ETA_10_5 = 7.653622860886378     # frozen: 1 + sqrt(24) + e*sqrt(15)/6
@@ -45,12 +44,6 @@ def test_exact_recovers_generated_train():
     assert report.ranks == (2, 2, 2, 2)
     assert relative_error(x, t) <= 1e-11
     assert t.ortho == "left"
-
-
-def test_exact_zero_tensor_degenerate():
-    t, report = tt_svd_exact(np.zeros((2, 3, 2)))
-    assert report.degenerate
-    assert np.all(tt_evaluate(t) == 0.0)
 
 
 def test_truncated_exact_ranks_zero_error():
@@ -126,13 +119,6 @@ def test_success_probability():
     assert abs(success_probability(6, t=2.0, u=2.0) - single) < 1e-14
     assert abs(success_probability(6, t=2.0, u=2.0, steps=3) - single**3) < 1e-14
     assert success_probability(4, t=1.0, u=1.0) == 0.0  # clamped at zero
-
-
-def test_spectral_bound_values():
-    assert abs(spectral_bound_factor(4, 4, 16) - (1 + 11 * math.sqrt(8 * 16))) < 1e-12
-    assert abs(spectral_bound_probability(4) - (1 - 6.0 / 256.0)) < 1e-14
-    with pytest.raises(ValueError):
-        spectral_bound_probability(0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +224,41 @@ def test_randomized_matrix_case_matches_range_finder():
     assert abs(err_tt - err_rf) < 1e-10
 
 
-def test_randomized_zero_and_report():
-    t, report = randomized_tt_svd(np.zeros((2, 2, 2)), (1, 1), RngStream(68))
-    assert report.degenerate
-    assert np.all(tt_evaluate(t) == 0.0)
+def test_randomized_report_wall_time():
     x = gaussian_dense((3, 3, 3), RngStream(69).substream(0))
     _, report = randomized_tt_svd(
-        x, clip_ranks(x.shape, 4), RngStream(69).substream(1), oversampling=4
+        x, clip_ranks(x.shape, 4), RngStream(69).substream(1)
     )
-    assert report.range_bound_factor is not None
-    assert abs(report.range_bound_probability - (1 - 6.0 / 256.0)) < 1e-14
     assert report.wall_time_s > 0.0
+
+
+# ---------------------------------------------------------------------------
+# zero input, at every entry point
+
+def _empty_sparse(shape):
+    return SparseTensor(shape, np.empty((0, len(shape)), dtype=np.int64), [])
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 2), (2, 3, 2), (3, 3, 3), (2, 3, 2, 4)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+@pytest.mark.parametrize("decompose", [
+    lambda shape: tt_svd_exact(np.zeros(shape)),
+    lambda shape: tt_svd_truncated(np.zeros(shape), 2),
+    lambda shape: randomized_tt_svd(np.zeros(shape), 2, RngStream(68)),
+    lambda shape: randomized_tt_svd(_empty_sparse(shape), 2, RngStream(5)),
+], ids=["exact", "truncated", "randomized-dense", "randomized-sparse"])
+def test_zero_input_gives_zero_train(decompose, shape):
+    t, report = decompose(shape)
+    d = len(shape)
+    assert report.ranks == (1,) * (d - 1)
+    assert t.ranks == (1,) * (d - 1)
+    assert report.degenerate
+    assert report.discarded_energy == ()
+    assert t.shape == shape
+    assert all(not core.any() for core in t.cores)
+    assert np.all(tt_evaluate(t) == 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -53,6 +53,11 @@ def test_resolve_config_defaults():
     assert cfg.samples == 256
     with pytest.raises(ValueError):
         resolve_config(ExperimentConfig("unknown"))
+    for name in ("noise", "oversampling", "als"):
+        with pytest.raises(ValueError, match="oversampling must be nonnegative"):
+            resolve_config(ExperimentConfig(name, p=-1))
+    cfg, grid = resolve_config(ExperimentConfig("oversampling", p=0))
+    assert grid == (0,)
 
 
 def test_noise_experiment_deterministic_modulo_times():

@@ -4,7 +4,7 @@ import numpy as np
 
 from ttsketch import (
     RngStream, SparseTensor, clip_ranks, gaussian_sparse, randomized_tt_svd,
-    relative_error, sparse_to_dense, tt_evaluate, tt_norm,
+    relative_error, sparse_to_dense, tt_norm,
 )
 from ttsketch import _kernels as K
 from ttsketch.tt import right_unfold
@@ -45,13 +45,6 @@ def test_gamma_counters_match_dense_layout():
     for u, h in enumerate(heads):
         for k in range(s_prev):
             assert gam[u, k] == dense_g[k, int(h)]
-
-
-def test_empty_sparse_degenerate():
-    xs = SparseTensor((3, 3, 3), np.empty((0, 3), dtype=np.int64), [])
-    t, report = randomized_tt_svd(xs, (2, 2), RngStream(5))
-    assert report.degenerate
-    assert np.all(tt_evaluate(t) == 0.0)
 
 
 def test_single_entry_exact():

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from ttsketch import RngStream, SparseTensor, contract, dematricize, matricize
+from ttsketch import RngStream, SparseTensor, contract, matricize
 from ttsketch.tensor import (
-    check_dense_size, inner, linear_index, norm, sparse_to_dense,
+    check_dense_size, inner, norm, sparse_to_dense,
 )
 
 
@@ -58,29 +58,6 @@ def test_matricize_rejects_bad_mode_sets():
         matricize(x, (1, 1))
 
 
-def test_dematricize_round_trip_bitwise():
-    x = RngStream(2).normals((2, 3, 4))
-    m = matricize(x, (0, 2))
-    back = dematricize(m, (2, 3, 4), (0, 2))
-    assert np.array_equal(back, x)
-
-
-def test_dematricize_all_ones():
-    back = dematricize(np.ones((4, 2)), (2, 2, 2), (0, 1))
-    assert np.all(back == 1.0)
-
-
-def test_dematricize_recovers_graded_tensor():
-    x = _graded_tensor()
-    m = o.naive_matricize(x, [0, 1])
-    assert np.array_equal(dematricize(m, (2, 3, 2), (0, 1)), x)
-
-
-def test_dematricize_shape_mismatch():
-    with pytest.raises(ValueError):
-        dematricize(np.ones((4, 3)), (2, 2, 2), (0, 1))
-
-
 def test_matricize_round_trips_random_mode_sets():
     rng = RngStream(11)
     shape = (2, 3, 2, 4)
@@ -89,7 +66,6 @@ def test_matricize_round_trips_random_mode_sets():
                       (1, 2, 3), (0, 1, 2, 3)]:
         m = matricize(x, row_modes)
         assert np.array_equal(m, o.naive_matricize(x, list(row_modes)))
-        assert np.array_equal(dematricize(m, shape, row_modes), x)
 
 
 def test_contract_vector_inner():
@@ -136,12 +112,6 @@ def test_norm_values():
     assert norm(e) == 1.0
     x = np.arange(1.0, 9.0).reshape(2, 2, 2)
     assert abs(norm(x) - np.sqrt(204.0)) < 1e-13
-
-
-def test_linear_index_matches_numpy():
-    shape = (3, 4, 5)
-    for idx in [(0, 0, 0), (2, 3, 4), (1, 2, 3)]:
-        assert linear_index(idx, shape) == np.ravel_multi_index(idx, shape)
 
 
 def test_sparse_empty_and_single():
