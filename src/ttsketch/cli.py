@@ -15,6 +15,7 @@ Two subcommands:
 import argparse
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -67,13 +68,10 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    cfg = ExperimentConfig(
-        experiment=args.experiment, d=args.d, n=args.n, r_star=args.r_star,
-        r=args.r, p=args.p, tau=args.tau, samples=args.samples,
-        seed=args.seed, nnz=args.nnz, decay_exp=args.decay_exp,
-        cutoff=args.cutoff, full_scale=args.full_scale,
-        workers=args.workers,
-    )
+    # Every config field has the argparse dest of the same name.
+    cfg = ExperimentConfig(**{
+        f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+    })
     records = run_experiment(cfg)
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
@@ -117,9 +115,12 @@ def _cmd_decompose(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_decompose(args)
+    command = _cmd_run if args.command == "run" else _cmd_decompose
+    try:
+        return command(args)
+    except (ValueError, OSError) as exc:
+        # Bad options and unreadable files end in one line, not a traceback.
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -1,31 +1,32 @@
 """Error-factor and runtime studies comparing the decomposition paths.
 
-Each experiment sweeps one parameter over a grid, draws `samples`
-independent targets per grid point, decomposes every target with the
-deterministic sweep and with the randomized pipeline (sketch at rank
-r+p, then deterministic truncation back to r), and records the relative
-errors plus their ratio.  Per-sample streams are derived from the root
-seed and the (grid point, sample) position, so every record is a pure
-function of the configuration: rerunning a configuration reproduces the
-CSV byte for byte except for the wall-time columns, and samples may be
-computed in any order or in parallel.
+Each experiment sweeps one configuration field over a grid, draws
+`samples` independent targets per grid point, decomposes every target
+with the deterministic sweep and with the randomized pipeline (sketch at
+rank r+p, then deterministic truncation back to r), and records the
+relative errors plus their ratio.  Per-sample streams are derived from
+the root seed and the (grid point, sample) position, so every record is
+a pure function of the configuration: a rerun reproduces the CSV byte
+for byte except for the wall-time columns, whatever order or thread the
+samples run in.
 
-Experiments:
+The studies are one table, `_STUDIES`: per study the defaults of unset
+fields, the swept field (setting it fixes a one-point grid), the default
+grid and the target builder.
 
-  noise               exact rank-r* target plus scaled dense noise,
-                      sweeping the noise level tau
-  oversampling        noisy targets at fixed tau, sweeping p
-  oversampling-decay  targets with polynomially decaying spectra, sweeping p
-  order               noisy targets, sweeping the tensor order d
-  order-decay         decaying-spectrum targets, sweeping d
-  runtime             sparse targets, sweeping d; times the sketch path
-                      (and the dense deterministic path while the dense
-                      tensor stays small)
-  als                 decaying-spectrum targets, sweeping p; runs the
-                      ALS half sweep through the same truncation
-                      pipeline and emits paired rows tagged "als" (the
-                      eps_rnd column holds the ALS error) and "als-rnd"
-                      (the usual randomized error on the same target)
+  study               sweeps  targets
+  noise               tau     exact rank-r* train plus scaled dense noise
+  oversampling        p       noisy, at fixed tau
+  oversampling-decay  p       polynomially decaying unfolding spectra
+  order               d       noisy
+  order-decay         d       decaying spectra
+  runtime             d       sparse, exactly nnz entries; times the
+                              sketch path (and the dense deterministic
+                              path while the dense tensor stays small)
+  als                 p       decaying spectra; rows tagged "als" hold the
+                              ALS half sweep's error in eps_rnd, paired
+                              with "als-rnd" rows of the usual randomized
+                              error on the same target
 """
 
 import csv
@@ -33,7 +34,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,17 +44,6 @@ from .generators import noisy_low_rank, random_tt_decay
 from .rng import RngStream
 from .tensor import SparseTensor, element_count, sparse_to_dense
 from .tt import clip_ranks, tt_evaluate, tt_round
-
-CSV_VERSION = "# ttsketch csv v1"
-CSV_COLUMNS = (
-    "experiment", "sample", "seed", "param",
-    "eps_det", "eps_rnd", "ratio", "t_rnd_ms", "t_det_ms",
-)
-
-EXPERIMENT_NAMES = (
-    "noise", "oversampling", "oversampling-decay",
-    "order", "order-decay", "runtime", "als",
-)
 
 NOISE_GRID = tuple(round(0.01 * i, 2) for i in range(11))
 OVERSAMPLING_GRID = (0, 1, 2, 3, 5, 8, 12, 17, 25)
@@ -66,9 +56,12 @@ RUNTIME_GRID = (10, 20, 40, 60)
 RUNTIME_DENSE_LIMIT = 2 ** 20
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentConfig:
-    """Knobs of one experiment run; unset fields take experiment defaults."""
+    """Knobs of one experiment run; unset fields take experiment defaults.
+
+    Slotted: every sample holds its own copy with the swept field set.
+    """
 
     experiment: str
     d: int = None
@@ -101,101 +94,93 @@ class SampleRecord:
     t_det_ms: float = None
 
 
-def _fill(cfg, **defaults):
-    updates = {k: v for k, v in defaults.items() if getattr(cfg, k) is None}
-    return replace(cfg, **updates)
+CSV_VERSION = "# ttsketch csv v1"
+CSV_COLUMNS = tuple(f.name for f in fields(SampleRecord))
+
+
+def _noisy_target(cfg, stream):
+    return noisy_low_rank((cfg.n,) * cfg.d, cfg.r_star, cfg.tau, stream)
+
+
+def _decay_target(cfg, stream):
+    t = random_tt_decay((cfg.n,) * cfg.d, cfg.r_star, cfg.decay_exp,
+                        cfg.cutoff, stream)
+    return tt_evaluate(t)
+
+
+_NOISY = dict(n=4, r_star=10, r=10, samples=32)
+_DECAY = dict(n=4, r_star=64, r=10, decay_exp=2.0, cutoff=250, samples=32)
+
+# study: (defaults of unset fields, swept field, default grid, target)
+_STUDIES = {
+    "noise": (dict(_NOISY, d=10, p=5), "tau", NOISE_GRID, _noisy_target),
+    "oversampling": (dict(_NOISY, d=10, tau=0.05), "p", OVERSAMPLING_GRID,
+                     _noisy_target),
+    "oversampling-decay": (dict(_DECAY, d=10), "p", OVERSAMPLING_GRID,
+                           _decay_target),
+    "order": (dict(_NOISY, p=5, tau=0.05), "d", ORDER_GRID, _noisy_target),
+    "order-decay": (dict(_DECAY, p=5), "d", ORDER_GRID, _decay_target),
+    "runtime": (dict(n=2, r=10, p=10, nnz=500, samples=32), "d",
+                RUNTIME_GRID, None),
+    "als": (dict(_DECAY, d=10, samples=16), "p", OVERSAMPLING_GRID,
+            _decay_target),
+}
+
+EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
 def resolve_config(cfg):
     """Apply per-experiment defaults and build the parameter grid."""
-    name = cfg.experiment
-    if name not in EXPERIMENT_NAMES:
-        raise ValueError(f"unknown experiment {name!r}")
+    if cfg.experiment not in _STUDIES:
+        raise ValueError(f"unknown experiment {cfg.experiment!r}")
     if cfg.p is not None and cfg.p < 0:
         raise ValueError("oversampling must be nonnegative")
-    base_samples = 256 if cfg.full_scale else 32
-    if name == "noise":
-        cfg = _fill(cfg, d=10, n=4, r_star=10, r=10, p=5, samples=base_samples)
-        grid = NOISE_GRID if cfg.tau is None else (float(cfg.tau),)
-    elif name == "oversampling":
-        cfg = _fill(cfg, d=10, n=4, r_star=10, r=10, tau=0.05,
-                    samples=base_samples)
-        grid = OVERSAMPLING_GRID if cfg.p is None else (int(cfg.p),)
-    elif name == "oversampling-decay":
-        cfg = _fill(cfg, d=10, n=4, r_star=64, r=10, decay_exp=2.0,
-                    cutoff=250, samples=base_samples)
-        grid = OVERSAMPLING_GRID if cfg.p is None else (int(cfg.p),)
-    elif name == "order":
-        cfg = _fill(cfg, n=4, r_star=10, r=10, p=5, tau=0.05,
-                    samples=base_samples)
-        full = ORDER_GRID_FULL if cfg.full_scale else ORDER_GRID
-        grid = full if cfg.d is None else (int(cfg.d),)
-    elif name == "order-decay":
-        cfg = _fill(cfg, n=4, r_star=64, r=10, p=5, decay_exp=2.0, cutoff=250,
-                    samples=base_samples)
-        full = ORDER_GRID_FULL if cfg.full_scale else ORDER_GRID
-        grid = full if cfg.d is None else (int(cfg.d),)
-    elif name == "runtime":
-        cfg = _fill(cfg, n=2, r=10, p=10, nnz=500, samples=base_samples)
-        grid = RUNTIME_GRID if cfg.d is None else (int(cfg.d),)
-    else:  # als
-        cfg = _fill(cfg, d=10, n=4, r_star=64, r=10, decay_exp=2.0,
-                    cutoff=250, samples=16 if not cfg.full_scale else 256)
-        grid = OVERSAMPLING_GRID if cfg.p is None else (int(cfg.p),)
+    defaults, field, grid, _ = _STUDIES[cfg.experiment]
+    if cfg.full_scale:
+        defaults = dict(defaults, samples=256)
+        if grid is ORDER_GRID:
+            grid = ORDER_GRID_FULL
+    fixed = getattr(cfg, field)
+    if fixed is not None:
+        grid = (type(grid[0])(fixed),)
+    cfg = replace(cfg, **{k: v for k, v in defaults.items()
+                          if getattr(cfg, k) is None})
     return cfg, grid
 
 
-def _noisy_target(cfg, tau, stream):
-    shape = (cfg.n,) * cfg.d
-    return noisy_low_rank(shape, cfg.r_star, tau, stream)
+def _als(x, ranks, stream):
+    return als_half_sweep(x, AlsConfig(ranks=ranks), stream)
 
 
-def _decay_target(cfg, d, stream):
-    shape = (cfg.n,) * d
-    t = random_tt_decay(shape, cfg.r_star, cfg.decay_exp, cfg.cutoff, stream)
-    return tt_evaluate(t)
+def _error_sample(cfg, target, pipelines, param, sample_idx, stream):
+    """One target, its deterministic sweep, and one row per pipeline.
 
-
-def _both_errors(x, r, p, stream):
-    shape = x.shape
+    A pipeline (tag, method, substream) decomposes the target at width
+    r+p with method(x, ranks, stream) and rounds the train back to r.
+    Each train is dropped before the next one is built, so no two are
+    alive at once.
+    """
+    x = target(cfg, stream.substream(0))
     t0 = time.perf_counter()
-    y_det, _ = tt_svd_truncated(x, r)
+    y = tt_svd_truncated(x, cfg.r)[0]
     t_det = 1e3 * (time.perf_counter() - t0)
-    eps_det = relative_error(x, y_det)
-    t0 = time.perf_counter()
-    y_sketch, _ = randomized_tt_svd(x, clip_ranks(shape, r + p), stream)
-    y_rnd = tt_round(y_sketch, r)
-    t_rnd = 1e3 * (time.perf_counter() - t0)
-    eps_rnd = relative_error(x, y_rnd)
-    ratio = eps_rnd / eps_det if eps_det > 0 else math.nan
-    return eps_det, eps_rnd, ratio, t_rnd, t_det
-
-
-def _error_sample(cfg, name, param, sample_idx, stream):
-    if name == "noise":
-        x = _noisy_target(cfg, param, stream.substream(0))
-        p = cfg.p
-    elif name == "oversampling":
-        x = _noisy_target(cfg, cfg.tau, stream.substream(0))
-        p = int(param)
-    elif name == "oversampling-decay":
-        x = _decay_target(cfg, cfg.d, stream.substream(0))
-        p = int(param)
-    elif name == "order":
-        cfg = replace(cfg, d=int(param))
-        x = _noisy_target(cfg, cfg.tau, stream.substream(0))
-        p = cfg.p
-    else:  # order-decay
-        x = _decay_target(cfg, int(param), stream.substream(0))
-        p = cfg.p
-    eps_det, eps_rnd, ratio, t_rnd, t_det = _both_errors(
-        x, cfg.r, p, stream.substream(1)
-    )
-    return [SampleRecord(
-        experiment=name, sample=sample_idx, seed=cfg.seed, param=param,
-        eps_det=eps_det, eps_rnd=eps_rnd, ratio=ratio,
-        t_rnd_ms=t_rnd, t_det_ms=t_det,
-    )]
+    eps_det = relative_error(x, y)
+    del y
+    ranks = clip_ranks(x.shape, cfg.r + cfg.p)
+    records = []
+    for tag, method, sub in pipelines:
+        t0 = time.perf_counter()
+        y = tt_round(method(x, ranks, stream.substream(sub))[0], cfg.r)
+        t = 1e3 * (time.perf_counter() - t0)
+        eps = relative_error(x, y)
+        del y
+        records.append(SampleRecord(
+            experiment=tag, sample=sample_idx, seed=cfg.seed, param=param,
+            eps_det=eps_det, eps_rnd=eps,
+            ratio=eps / eps_det if eps_det > 0 else math.nan,
+            t_rnd_ms=t, t_det_ms=t_det,
+        ))
+    return records
 
 
 def _sparse_exact_count(shape, nnz, stream):
@@ -222,7 +207,7 @@ def _sparse_exact_count(shape, nnz, stream):
 
 
 def _runtime_sample(cfg, param, sample_idx, stream):
-    d = int(param)
+    d = cfg.d
     shape = (cfg.n,) * d
     xs = _sparse_exact_count(shape, cfg.nnz, stream.substream(0))
     # The same requested width at every edge (no rank clipping).  The
@@ -254,43 +239,20 @@ def _runtime_sample(cfg, param, sample_idx, stream):
         det_once()
         t_det = statistics.median(det_once() for _ in range(3))
     return [SampleRecord(
-        experiment="runtime", sample=sample_idx, seed=cfg.seed, param=d,
+        experiment="runtime", sample=sample_idx, seed=cfg.seed, param=param,
         t_rnd_ms=t_rnd, t_det_ms=t_det,
     )]
-
-
-def _als_sample(cfg, param, sample_idx, stream):
-    p = int(param)
-    x = _decay_target(cfg, cfg.d, stream.substream(0))
-    shape = x.shape
-    eps_det, eps_rnd, rnd_ratio, t_rnd, t_det = _both_errors(
-        x, cfg.r, p, stream.substream(1)
-    )
-    t0 = time.perf_counter()
-    als_cfg = AlsConfig(ranks=clip_ranks(shape, cfg.r + p))
-    y_als_full, _ = als_half_sweep(x, als_cfg, stream.substream(2))
-    y_als = tt_round(y_als_full, cfg.r)
-    t_als = 1e3 * (time.perf_counter() - t0)
-    eps_als = relative_error(x, y_als)
-    als_ratio = eps_als / eps_det if eps_det > 0 else math.nan
-    return [
-        SampleRecord(
-            experiment="als", sample=sample_idx, seed=cfg.seed, param=p,
-            eps_det=eps_det, eps_rnd=eps_als, ratio=als_ratio,
-            t_rnd_ms=t_als, t_det_ms=t_det,
-        ),
-        SampleRecord(
-            experiment="als-rnd", sample=sample_idx, seed=cfg.seed, param=p,
-            eps_det=eps_det, eps_rnd=eps_rnd, ratio=rnd_ratio,
-            t_rnd_ms=t_rnd, t_det_ms=t_det,
-        ),
-    ]
 
 
 def run_experiment(cfg):
     """Run one configured experiment and return its records in grid order."""
     cfg, grid = resolve_config(cfg)
     name = cfg.experiment
+    _, field, _, target = _STUDIES[name]
+    if name == "als":
+        pipelines = [("als", _als, 2), ("als-rnd", randomized_tt_svd, 1)]
+    else:
+        pipelines = [(name, randomized_tt_svd, 1)]
     root = RngStream(cfg.seed)
     tasks = [
         (pi, param, si)
@@ -300,12 +262,11 @@ def run_experiment(cfg):
 
     def run_task(task):
         pi, param, si = task
+        point = replace(cfg, **{field: param})
         stream = root.substream(pi, si)
-        if name == "runtime":
-            return _runtime_sample(cfg, param, si, stream)
-        if name == "als":
-            return _als_sample(cfg, param, si, stream)
-        return _error_sample(cfg, name, param, si, stream)
+        if target is None:
+            return _runtime_sample(point, param, si, stream)
+        return _error_sample(point, target, pipelines, param, si, stream)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -331,11 +292,16 @@ def write_csv(records, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        writer.writerow([
-            rec.experiment, rec.sample, _cell(rec.seed), _cell(rec.param),
-            _cell(rec.eps_det), _cell(rec.eps_rnd), _cell(rec.ratio),
-            _cell(rec.t_rnd_ms), _cell(rec.t_det_ms),
-        ])
+        writer.writerow([_cell(getattr(rec, c)) for c in CSV_COLUMNS])
+
+
+def _num(tok):
+    return None if tok == "" else float(tok)
+
+
+# One parser per column; the unlisted ones are optional numbers.
+_PARSERS = dict(experiment=str, sample=int, seed=lambda t: int(float(t)),
+                param=float)
 
 
 def read_csv(fh):
@@ -347,15 +313,14 @@ def read_csv(fh):
     header = tuple(next(reader))
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected csv header {header!r}")
-
-    def num(tok):
-        return None if tok == "" else float(tok)
-
     records = []
     for row in reader:
-        records.append(SampleRecord(
-            experiment=row[0], sample=int(row[1]), seed=int(float(row[2])),
-            param=float(row[3]), eps_det=num(row[4]), eps_rnd=num(row[5]),
-            ratio=num(row[6]), t_rnd_ms=num(row[7]), t_det_ms=num(row[8]),
-        ))
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"csv line {reader.line_num + 1}: expected "
+                f"{len(CSV_COLUMNS)} cells, got {len(row)}"
+            )
+        records.append(SampleRecord(*(
+            _PARSERS.get(c, _num)(tok) for c, tok in zip(CSV_COLUMNS, row)
+        )))
     return records

@@ -114,7 +114,18 @@ def load_sparse(text):
         raise ValueError("entry count must be nonnegative")
     # The entries as one table: d 1-based indices and a value per entry.
     table = take(nnz * (d + 1))
-    values = np.array(table[d::d + 1], dtype=np.float64)
+    try:
+        values = np.array(table[d::d + 1], dtype=np.float64)
+    except ValueError:
+        # Name the first entry whose value is no number.
+        for row, tok in enumerate(table[d::d + 1]):
+            try:
+                float(tok)
+            except ValueError:
+                raise ValueError(
+                    f"entry {row + 1}: bad number {tok!r}"
+                ) from None
+        raise
     del table[d::d + 1]
     try:
         idx = np.array(table, dtype=np.int64).reshape(nnz, d)

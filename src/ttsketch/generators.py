@@ -38,9 +38,9 @@ def gaussian_sparse(shape, nnz, rng):
     idx = rng.substream(0).index_draws(nnz, shape)
     values = rng.substream(1).normals(nnz)
     # np.unique keeps the first occurrence; scan reversed to keep the last.
-    _, first_in_rev = np.unique(idx[::-1], axis=0, return_index=True)
-    keep = np.sort(nnz - 1 - first_in_rev)
-    return SparseTensor(shape, idx[keep], values[keep])
+    # Its rows come out in canonical order, which SparseTensor keeps.
+    rows, first_in_rev = np.unique(idx[::-1], axis=0, return_index=True)
+    return SparseTensor(shape, rows, values[nnz - 1 - first_in_rev])
 
 
 def random_tt(shape, ranks, rng):

@@ -11,13 +11,21 @@ import numpy as np
 
 
 def _fix_svd_signs(u, vt):
-    # Largest-magnitude entry of every left singular vector made nonnegative.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = np.argmax(np.abs(col))
-        if col[i] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
+    # Largest-magnitude entry of every left singular vector made nonnegative
+    # (the first one on ties).  Column maxima and minima settle every column
+    # whose largest magnitude m has one sign; only columns holding both +m
+    # and -m (or only zeros) need positions.  Reductions and in-place
+    # negation copy no full factor.
+    if u.size:
+        top = u.max(axis=0)
+        low = -u.min(axis=0)
+        flip = low > top
+        tie = low == top
+        if tie.any():
+            sub = u[:, tie]
+            flip[tie] = np.argmin(sub, axis=0) < np.argmax(sub, axis=0)
+        np.negative(u, out=u, where=flip)
+        np.negative(vt, out=vt, where=flip[:, None])
     return u, vt
 
 

@@ -7,6 +7,8 @@ the two is meaningful.  The two exceptions are ref_randomized_sparse,
 which keeps the package's arithmetic and changes only how the sketch rows
 are drawn, and ref_draw_tail_cores, which keeps the package's RQ and
 right-orthogonalizes by hand, so that each can be compared bit for bit.
+ref_resolve_config is the experiment driver's earlier per-study if chain,
+kept word for word as the reference for the table that replaced it.
 """
 
 import math
@@ -224,6 +226,76 @@ def ref_draw_tail_cores(shape, ranks, rng):
     _, q = rq_row_orthonormal(right_unfold(cores[1]))
     cores[1] = q if d == 2 else q.reshape(cores[1].shape)
     return cores
+
+
+def ref_fix_svd_signs(u, vt):
+    """SVD sign fix column by column: the largest |entry| of each column
+    of u (the first one on ties) made nonnegative, the row of vt along."""
+    u = u.copy()
+    vt = vt.copy()
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        i = np.argmax(np.abs(col))
+        if col[i] < 0:
+            u[:, j] = -col
+            vt[j, :] = -vt[j, :]
+    return u, vt
+
+
+def _ref_fill(cfg, **defaults):
+    from dataclasses import replace
+
+    updates = {k: v for k, v in defaults.items() if getattr(cfg, k) is None}
+    return replace(cfg, **updates)
+
+
+def ref_resolve_config(cfg):
+    """Apply per-experiment defaults and build the parameter grid."""
+    from ttsketch.experiments import (
+        NOISE_GRID, ORDER_GRID, ORDER_GRID_FULL, OVERSAMPLING_GRID,
+        RUNTIME_GRID,
+    )
+
+    EXPERIMENT_NAMES = (
+        "noise", "oversampling", "oversampling-decay",
+        "order", "order-decay", "runtime", "als",
+    )
+    _fill = _ref_fill
+    name = cfg.experiment
+    if name not in EXPERIMENT_NAMES:
+        raise ValueError(f"unknown experiment {name!r}")
+    if cfg.p is not None and cfg.p < 0:
+        raise ValueError("oversampling must be nonnegative")
+    base_samples = 256 if cfg.full_scale else 32
+    if name == "noise":
+        cfg = _fill(cfg, d=10, n=4, r_star=10, r=10, p=5, samples=base_samples)
+        grid = NOISE_GRID if cfg.tau is None else (float(cfg.tau),)
+    elif name == "oversampling":
+        cfg = _fill(cfg, d=10, n=4, r_star=10, r=10, tau=0.05,
+                    samples=base_samples)
+        grid = OVERSAMPLING_GRID if cfg.p is None else (int(cfg.p),)
+    elif name == "oversampling-decay":
+        cfg = _fill(cfg, d=10, n=4, r_star=64, r=10, decay_exp=2.0,
+                    cutoff=250, samples=base_samples)
+        grid = OVERSAMPLING_GRID if cfg.p is None else (int(cfg.p),)
+    elif name == "order":
+        cfg = _fill(cfg, n=4, r_star=10, r=10, p=5, tau=0.05,
+                    samples=base_samples)
+        full = ORDER_GRID_FULL if cfg.full_scale else ORDER_GRID
+        grid = full if cfg.d is None else (int(cfg.d),)
+    elif name == "order-decay":
+        cfg = _fill(cfg, n=4, r_star=64, r=10, p=5, decay_exp=2.0, cutoff=250,
+                    samples=base_samples)
+        full = ORDER_GRID_FULL if cfg.full_scale else ORDER_GRID
+        grid = full if cfg.d is None else (int(cfg.d),)
+    elif name == "runtime":
+        cfg = _fill(cfg, n=2, r=10, p=10, nnz=500, samples=base_samples)
+        grid = RUNTIME_GRID if cfg.d is None else (int(cfg.d),)
+    else:  # als
+        cfg = _fill(cfg, d=10, n=4, r_star=64, r=10, decay_exp=2.0,
+                    cutoff=250, samples=16 if not cfg.full_scale else 256)
+        grid = OVERSAMPLING_GRID if cfg.p is None else (int(cfg.p),)
+    return cfg, grid
 
 
 def ref_sparse_sketch(mu, vals, gam, n_j):

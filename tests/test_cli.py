@@ -82,3 +82,18 @@ def test_decompose_rejects_bad_rank(tmp_path, method, flags, message):
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         main(["run", "nonsense"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "noise", "--p", "-1"], "oversampling must be nonnegative"),
+    (["run", "runtime", "--d", "5"],
+     r"entry count must be in \[1, element count\]"),
+    (["decompose", "--input", "missing.txt", "--method", "det", "--r", "1"],
+     "No such file or directory: 'missing.txt'"),
+], ids=["run-p-negative", "run-nnz-above-size", "decompose-missing-input"])
+def test_errors_end_in_one_line(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match=message) as info:
+        main([*argv, "--out", "out.txt"])
+    assert isinstance(info.value.code, str)  # a message, not a traceback
+    assert list(tmp_path.iterdir()) == []

@@ -11,12 +11,17 @@ import oracles as o
 from ttsketch import RngStream, SparseTensor
 
 from ttsketch.experiments import (
-    CSV_COLUMNS, CSV_VERSION, ExperimentConfig, NOISE_GRID, ORDER_GRID,
+    CSV_COLUMNS, CSV_VERSION, EXPERIMENT_NAMES, ExperimentConfig, NOISE_GRID,
+    ORDER_GRID,
     OVERSAMPLING_GRID, RUNTIME_GRID, _sparse_exact_count, read_csv,
     resolve_config, run_experiment, write_csv,
 )
 
 TINY = dict(d=4, n=3, r_star=2, r=2, samples=2)
+STUDIES = (
+    "noise", "oversampling", "oversampling-decay",
+    "order", "order-decay", "runtime", "als",
+)
 
 
 def _csv_text(records):
@@ -34,6 +39,7 @@ def _strip_times(text):
 
 
 def test_resolve_config_defaults():
+    assert EXPERIMENT_NAMES == STUDIES
     cfg, grid = resolve_config(ExperimentConfig("noise"))
     assert (cfg.d, cfg.n, cfg.r_star, cfg.r, cfg.p) == (10, 4, 10, 10, 5)
     assert cfg.samples == 32
@@ -58,6 +64,21 @@ def test_resolve_config_defaults():
             resolve_config(ExperimentConfig(name, p=-1))
     cfg, grid = resolve_config(ExperimentConfig("oversampling", p=0))
     assert grid == (0,)
+
+
+@pytest.mark.parametrize("fixed", [
+    {}, {"full_scale": True}, {"full_scale": True, "samples": 3},
+    {"d": 5}, {"d": 5, "full_scale": True}, {"p": 3}, {"p": 0},
+    {"tau": 0.03}, {"tau": 0}, {"tau": 0, "p": 0, "d": 4},
+], ids=lambda fixed: (
+    ",".join(f"{k}={v}" for k, v in fixed.items()) or "defaults"))
+@pytest.mark.parametrize("name", STUDIES)
+def test_resolve_config_matches_if_chain(name, fixed):
+    cfg, grid = resolve_config(ExperimentConfig(name, **fixed))
+    want_cfg, want_grid = o.ref_resolve_config(ExperimentConfig(name, **fixed))
+    assert cfg == want_cfg
+    assert grid == want_grid
+    assert [type(g) for g in grid] == [type(g) for g in want_grid]
 
 
 def test_noise_experiment_deterministic_modulo_times():
@@ -101,6 +122,9 @@ def test_csv_round_trip():
         assert x.eps_det == y.eps_det and x.eps_rnd == y.eps_rnd
     with pytest.raises(ValueError):
         read_csv(io.StringIO("# wrong version\n"))
+    short = "\n".join(text.splitlines()[:2] + ["noise,0,10,2,0.5"]) + "\n"
+    with pytest.raises(ValueError, match="line 3: expected 9 cells, got 5"):
+        read_csv(io.StringIO(short))
 
 
 def test_runtime_experiment_rows():

@@ -94,6 +94,10 @@ def test_sparse_entry_errors_name_the_entry():
         load_sparse("sparse 2 3 3 2 1 1 inf 1 4 2.0")
     with pytest.raises(ValueError, match="entry 2: index 4"):
         load_sparse("sparse 2 3 3 3 1 1 1.0 1 4 2.0 2 2 nan")
+    with pytest.raises(ValueError, match="entry 1: bad number 'abc'"):
+        load_sparse("sparse 2 2 2 1 1 1 abc")
+    with pytest.raises(ValueError, match="entry 2: bad number '2.0x'"):
+        load_sparse("sparse 2 2 2 2 1 1 1.0 2 2 2.0x")
 
 
 def test_sparse_line_breaks_are_cosmetic():

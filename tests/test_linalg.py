@@ -5,7 +5,9 @@ import pytest
 
 import oracles as o
 from ttsketch import RngStream
-from ttsketch.linalg import numerical_rank, qr, rq_row_orthonormal, svd, truncated_svd
+from ttsketch.linalg import (
+    _fix_svd_signs, numerical_rank, qr, rq_row_orthonormal, svd, truncated_svd,
+)
 
 
 def test_svd_identity():
@@ -35,6 +37,27 @@ def test_svd_against_gram_eigenvalue_oracle():
     assert np.linalg.norm(u @ np.diag(s) @ vt - a) < 1e-12
     want = o.gram_singular_values(a)
     assert np.max(np.abs(s - want)) < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (6, 6), (2, 9), (4, 65536)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rounded", [False, True], ids=["normal", "rounded"])
+def test_fix_svd_signs_matches_column_loop(shape, seed, rounded):
+    rng = RngStream(seed)
+    u = rng.substream(0).normals(shape)
+    if rounded:  # small integers: ties of +m and -m, and zero columns
+        u = np.round(u)
+    vt = rng.substream(1).normals((shape[1], 5))
+    if shape[1] >= 3:
+        u[:, :3] = 0.0  # column 0 stays all zero: nothing to flip
+        u[:2, 1] = (0.5, -0.5)  # tied magnitudes: the first one decides
+        u[:2, 2] = (-0.5, 0.5)
+        u[:2, 0] = (-0.0, 0.0)
+    want_u, want_vt = o.ref_fix_svd_signs(u, vt)
+    got_u, got_vt = _fix_svd_signs(u.copy(), vt.copy())
+    assert np.array_equal(got_u, want_u) and np.array_equal(got_vt, want_vt)
+    assert np.array_equal(np.signbit(got_u), np.signbit(want_u))
+    assert np.array_equal(np.signbit(got_vt), np.signbit(want_vt))
 
 
 def test_svd_deterministic():
