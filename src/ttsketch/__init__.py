@@ -8,7 +8,7 @@ deterministic and randomized decomposition routines
 ``ttsketch`` command (:mod:`ttsketch.experiments`).
 """
 
-from .als import AlsConfig, als_half_sweep
+from .als import als_half_sweep
 from .decompose import (
     DecompositionReport,
     OversamplingSpec,
@@ -28,11 +28,10 @@ from .generators import (
     random_tt_decay,
 )
 from .rng import RngStream
-from .tensor import SparseTensor, contract, matricize, sparse_to_dense
+from .tensor import SparseTensor, contract, matricize
 from .tt import (
     TTTensor,
     clip_ranks,
-    orthogonalize_left,
     orthogonalize_right,
     tt_evaluate,
     tt_norm,
@@ -43,7 +42,6 @@ from .tt import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlsConfig",
     "DecompositionReport",
     "OversamplingSpec",
     "RngStream",
@@ -57,14 +55,12 @@ __all__ = [
     "gaussian_sparse",
     "matricize",
     "noisy_low_rank",
-    "orthogonalize_left",
     "orthogonalize_right",
     "random_tt",
     "random_tt_decay",
     "randomized_range",
     "randomized_tt_svd",
     "relative_error",
-    "sparse_to_dense",
     "success_probability",
     "tt_evaluate",
     "tt_norm",

@@ -125,16 +125,6 @@ def _normals_into(key, c, out):
     out *= u2
 
 
-def normals_at(key, counters):
-    """Normals at the given counters (uint64 array) of the stream `key`."""
-    flat = np.asarray(counters).reshape(-1)
-    out = np.empty(flat.shape)
-    for lo in range(0, flat.size, _CHUNK):
-        c = flat[lo:lo + _CHUNK].astype(np.uint64, copy=False)
-        _normals_into(key, c, out[lo:lo + _CHUNK])
-    return out.reshape(np.shape(counters))
-
-
 def indices_at(key, counters, bound):
     """Uniform draws on [0, bound) at the given counters."""
     v = _values_np(key, counters.astype(np.uint64))

@@ -15,20 +15,11 @@ of that product fixes the same column space the range finder would
 orthonormalize, and the second solve projects f onto it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import qr
 from .tensor import check_dense_size, check_finite, element_count
 from .tt import TTTensor, clip_ranks, orthogonalize_right
-
-
-@dataclass
-class AlsConfig:
-    """Target ranks of the half sweep."""
-
-    ranks: object
 
 
 def _draw_tail_cores(shape, ranks, rng):
@@ -85,10 +76,11 @@ def _sweep_left_to_right(f, tail_cores):
     return TTTensor(cores, ortho="left"), objectives
 
 
-def als_half_sweep(f, config, rng):
+def als_half_sweep(f, ranks, rng):
     """Approximate a dense tensor by one left-to-right half sweep.
 
-    Returns the left-orthogonal train and the objective values
+    `ranks` (an int or one value per edge) is clipped to the dimension
+    products.  Returns the left-orthogonal train and the objective values
     ||f - x||^2 recorded after each of the d core updates
     (non-increasing).  When the train rank of f is elementwise at most
     the target, the half sweep reaches zero error with probability one.
@@ -101,5 +93,5 @@ def als_half_sweep(f, config, rng):
     if not f.any():
         raise ValueError("ALS target must be nonzero")
     check_finite(f)
-    ranks = clip_ranks(shape, config.ranks)
+    ranks = clip_ranks(shape, ranks)
     return _sweep_left_to_right(f, _draw_tail_cores(shape, ranks, rng))

@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .fileio import load_tensor_file, save_tt
 from .rng import RngStream
-from .tensor import SparseTensor, sparse_to_dense
+from .tensor import SparseTensor
 from .tt import clip_ranks, tt_round
 
 
@@ -94,7 +94,7 @@ def _cmd_decompose(args):
     t0 = time.perf_counter()
     if args.method == "det":
         if isinstance(x, SparseTensor):
-            x = sparse_to_dense(x)
+            x = x.to_dense()
         result, report = tt_svd_truncated(x, args.r)
     else:
         sketch = clip_ranks(shape, args.r + args.p)

@@ -199,7 +199,7 @@ def tt_svd_truncated(x, target_ranks):
 # ---------------------------------------------------------------------------
 # randomized sketch
 
-def _randomized_dense(x, sketch, rng, t0):
+def _randomized_dense(x, sketch, rng):
     shape = x.shape
     d = len(shape)
     cores = [None] * d
@@ -223,11 +223,7 @@ def _randomized_dense(x, sketch, rng, t0):
             b = b.reshape(lead, shape[j - 2] * t_next)
         t_dim = t_next
     cores[0] = b
-    result = TTTensor(cores, ortho="right")
-    report = DecompositionReport(
-        ranks=result.ranks, wall_time_s=time.perf_counter() - t0
-    )
-    return result, report
+    return TTTensor(cores, ortho="right")
 
 
 def _prefix_codes(idx, shape):
@@ -246,7 +242,7 @@ def _prefix_codes(idx, shape):
     return codes
 
 
-def _randomized_sparse(xs, sketch, rng, t0):
+def _randomized_sparse(xs, sketch, rng):
     shape = xs.shape
     d = len(shape)
     heads = _prefix_codes(xs.idx, shape)
@@ -305,11 +301,7 @@ def _randomized_sparse(xs, sketch, rng, t0):
     w1 = np.zeros((shape[0], t_dim))
     np.add.at(w1, xs.idx[order, 0], vals)
     cores[0] = w1
-    result = TTTensor(cores, ortho="right")
-    report = DecompositionReport(
-        ranks=result.ranks, wall_time_s=time.perf_counter() - t0
-    )
-    return result, report
+    return TTTensor(cores, ortho="right")
 
 
 def randomized_tt_svd(x, sketch_ranks, rng):
@@ -354,8 +346,13 @@ def randomized_tt_svd(x, sketch_ranks, rng):
     if isinstance(x, SparseTensor):
         if x.nnz == 0:
             return _zero_result(shape, t0)
-        return _randomized_sparse(x, sketch, rng, t0)
-    if not x.any():
-        return _zero_result(shape, t0)
-    check_finite(x)
-    return _randomized_dense(x, sketch, rng, t0)
+        result = _randomized_sparse(x, sketch, rng)
+    else:
+        if not x.any():
+            return _zero_result(shape, t0)
+        check_finite(x)
+        result = _randomized_dense(x, sketch, rng)
+    report = DecompositionReport(
+        ranks=result.ranks, wall_time_s=time.perf_counter() - t0
+    )
+    return result, report

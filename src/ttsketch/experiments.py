@@ -38,11 +38,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .als import AlsConfig, als_half_sweep
+from .als import als_half_sweep
 from .decompose import randomized_tt_svd, relative_error, tt_svd_truncated
 from .generators import noisy_low_rank, random_tt_decay
 from .rng import RngStream
-from .tensor import SparseTensor, element_count, sparse_to_dense
+from .tensor import SparseTensor, element_count
 from .tt import clip_ranks, tt_evaluate, tt_round
 
 NOISE_GRID = tuple(round(0.01 * i, 2) for i in range(11))
@@ -145,11 +145,9 @@ def resolve_config(cfg):
         grid = (type(grid[0])(fixed),)
     cfg = replace(cfg, **{k: v for k, v in defaults.items()
                           if getattr(cfg, k) is None})
+    if cfg.samples < 1:
+        raise ValueError("samples must be positive")
     return cfg, grid
-
-
-def _als(x, ranks, stream):
-    return als_half_sweep(x, AlsConfig(ranks=ranks), stream)
 
 
 def _error_sample(cfg, target, pipelines, param, sample_idx, stream):
@@ -206,6 +204,17 @@ def _sparse_exact_count(shape, nnz, stream):
     return SparseTensor(shape, keep, values)
 
 
+def _median_ms(fn, *args):
+    """Median milliseconds of three calls of fn(*args), after one warm-up
+    call whose time is thrown away."""
+    times = []
+    for _ in range(4):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(1e3 * (time.perf_counter() - t0))
+    return statistics.median(times[1:])
+
+
 def _runtime_sample(cfg, param, sample_idx, stream):
     d = cfg.d
     shape = (cfg.n,) * d
@@ -217,27 +226,10 @@ def _runtime_sample(cfg, param, sample_idx, stream):
     # affine in the order.  Clipping the request would narrow the left
     # edges too and make the small-order points cheaper still.
     sketch = (cfg.r + cfg.p,) * (d - 1)
-    decomp_stream = stream.substream(1)
-
-    def run_once():
-        t0 = time.perf_counter()
-        randomized_tt_svd(xs, sketch, decomp_stream)
-        return 1e3 * (time.perf_counter() - t0)
-
-    run_once()  # warm-up discarded
-    t_rnd = statistics.median(run_once() for _ in range(3))
-
+    t_rnd = _median_ms(randomized_tt_svd, xs, sketch, stream.substream(1))
     t_det = None
     if element_count(shape) <= RUNTIME_DENSE_LIMIT:
-        x = sparse_to_dense(xs)
-
-        def det_once():
-            t0 = time.perf_counter()
-            tt_svd_truncated(x, cfg.r)
-            return 1e3 * (time.perf_counter() - t0)
-
-        det_once()
-        t_det = statistics.median(det_once() for _ in range(3))
+        t_det = _median_ms(tt_svd_truncated, xs.to_dense(), cfg.r)
     return [SampleRecord(
         experiment="runtime", sample=sample_idx, seed=cfg.seed, param=param,
         t_rnd_ms=t_rnd, t_det_ms=t_det,
@@ -250,7 +242,8 @@ def run_experiment(cfg):
     name = cfg.experiment
     _, field, _, target = _STUDIES[name]
     if name == "als":
-        pipelines = [("als", _als, 2), ("als-rnd", randomized_tt_svd, 1)]
+        pipelines = [("als", als_half_sweep, 2),
+                     ("als-rnd", randomized_tt_svd, 1)]
     else:
         pipelines = [(name, randomized_tt_svd, 1)]
     root = RngStream(cfg.seed)

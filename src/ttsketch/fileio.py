@@ -15,10 +15,15 @@ put one record per line for dense values and sparse entries and one
 core per line for trains.  All values must be finite.
 """
 
+import math
+
 import numpy as np
 
 from .tensor import SparseTensor, check_dense_size, check_shape, element_count
 from .tt import TTTensor
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _fmt(v):
@@ -112,54 +117,55 @@ def load_sparse(text):
     nnz = _take_int(take, "sparse header")
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
-    # The entries as one table: d 1-based indices and a value per entry.
+    # The entries as one table: d 1-based indices and a value per entry,
+    # converted in one shot each; any failure takes the slow path, which
+    # names the first entry at fault.
     table = take(nnz * (d + 1))
-    try:
-        values = np.array(table[d::d + 1], dtype=np.float64)
-    except ValueError:
-        # Name the first entry whose value is no number.
-        for row, tok in enumerate(table[d::d + 1]):
-            try:
-                float(tok)
-            except ValueError:
-                raise ValueError(
-                    f"entry {row + 1}: bad number {tok!r}"
-                ) from None
-        raise
+    values = table[d::d + 1]
     del table[d::d + 1]
     try:
+        values = np.array(values, dtype=np.float64)
         idx = np.array(table, dtype=np.int64).reshape(nnz, d)
+        ok = (np.all(idx.min(axis=0, initial=1) >= 1)
+              and np.all(idx.max(axis=0, initial=1) <= shape)
+              and np.isfinite(values.min(initial=0.0))
+              and np.isfinite(values.max(initial=0.0)))
     except (ValueError, OverflowError):
-        # Name the first token that is no integer or no valid index.
-        for pos, tok in enumerate(table):
-            try:
-                i = int(tok)
-            except ValueError:
-                raise ValueError(
-                    f"expected an integer in sparse entry, got {tok!r}"
-                ) from None
-            if not 1 <= i <= shape[pos % d]:
-                raise _index_error(pos // d, pos % d, i, shape) from None
-        raise
+        ok = False
+    if not ok:
+        raise _first_bad_entry(table, values, shape)
     del table
     idx -= 1
-    bad = (idx < 0) | (idx >= shape)
-    bad_entry = bad.any(axis=1) | ~np.isfinite(values)
-    if bad_entry.any():
-        row = int(np.argmax(bad_entry))
-        if bad[row].any():
-            k = int(np.argmax(bad[row]))
-            raise _index_error(row, k, int(idx[row, k]) + 1, shape)
-        raise ValueError(f"entry {row + 1}: non-finite value")
     done()
     return SparseTensor(shape, idx, values)
 
 
-def _index_error(row, k, i, shape):
-    return ValueError(
-        f"entry {row + 1}: index {i} out of range for mode "
-        f"size {shape[k]} (indices are 1-based)"
-    )
+def _first_bad_entry(idx_tokens, values, shape):
+    """The error naming the first sparse entry that does not load.
+
+    Walks the entries in order with the conversions of the one-shot path:
+    int for the index tokens (at most the int64 maximum) and float for the
+    value, given as a token or as the number already converted.
+    """
+    d = len(shape)
+    for row, value in enumerate(values, 1):
+        for k, tok in enumerate(idx_tokens[(row - 1) * d:row * d]):
+            try:
+                i = int(tok)
+            except ValueError:
+                return ValueError(
+                    f"entry {row}: expected an integer index, got {tok!r}")
+            if not 1 <= i <= min(shape[k], _INT64_MAX):
+                return ValueError(
+                    f"entry {row}: index {i} out of range for mode "
+                    f"size {shape[k]} (indices are 1-based)")
+        try:
+            value = float(value)
+        except ValueError:
+            return ValueError(f"entry {row}: bad number {value!r}")
+        if not math.isfinite(value):
+            return ValueError(f"entry {row}: non-finite value")
+    raise AssertionError("no bad entry in a table that failed to load")
 
 
 def save_tt(path, t):

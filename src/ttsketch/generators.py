@@ -9,7 +9,7 @@ consuming shared state, so results are independent of call order.
 import numpy as np
 
 from .tensor import SparseTensor, check_dense_size, check_shape, element_count
-from .tt import TTTensor, clip_ranks, tt_evaluate
+from .tt import TTTensor, clip_ranks, left_unfold, right_unfold, tt_evaluate
 from .linalg import svd
 
 
@@ -86,25 +86,12 @@ def random_tt_decay(shape, ranks, decay_exponent, cutoff, rng):
         raise ValueError("cutoff must be at least 1")
     t = random_tt(shape, ranks, rng.substream(0))
     cores = t.cores
-    d = len(cores)
-    for i in range(d - 1):
-        left = cores[i]
-        right = cores[i + 1]
-        r_mid = left.shape[-1]
-        lmat = left.reshape(-1, r_mid)
-        rmat = right.reshape(r_mid, -1)
-        merged = lmat @ rmat
-        u, s, vt = svd(merged)
-        k = s.shape[0]
-        vals = decay_values(k, decay_exponent, cutoff)
-        new_left = u if left.ndim == 2 else u.reshape(left.shape[0], left.shape[1], k)
-        carry = vals[:, None] * vt
-        if right.ndim == 2:
-            new_right = carry
-        else:
-            new_right = carry.reshape(k, right.shape[1], right.shape[2])
-        cores[i] = new_left
-        cores[i + 1] = new_right
+    for i in range(len(cores) - 1):
+        left, right = cores[i], cores[i + 1]
+        u, s, vt = svd(left_unfold(left) @ right_unfold(right))
+        vals = decay_values(s.shape[0], decay_exponent, cutoff)
+        cores[i] = u.reshape(*left.shape[:-1], -1)
+        cores[i + 1] = (vals[:, None] * vt).reshape(-1, *right.shape[1:])
     return TTTensor(cores)
 
 

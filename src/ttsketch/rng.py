@@ -40,12 +40,6 @@ class RngStream:
         out = _kernels.standard_normals(self.key, size)
         return out.reshape(shape)
 
-    def normals_at(self, counters):
-        """Normal draws at explicit counters (any uint64-convertible array)."""
-        counters = np.asarray(counters, dtype=np.uint64)
-        flat = _kernels.normals_at(np.uint64(self.key), counters.ravel())
-        return flat.reshape(counters.shape)
-
     def index_draws(self, count, bounds):
         """Uniform multi-indices: an (count, len(bounds)) int64 array.
 

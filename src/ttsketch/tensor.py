@@ -209,6 +209,3 @@ class SparseTensor:
             out[tuple(self.idx.T)] = self.values
         return out
 
-
-def sparse_to_dense(x):
-    return x.to_dense()

@@ -14,7 +14,7 @@ core, which is what tt_norm exploits.
 
 import numpy as np
 
-from .linalg import qr, rq_row_orthonormal, truncated_svd
+from .linalg import rq_row_orthonormal, truncated_svd
 from .tensor import check_dense_size, check_shape, element_count
 
 
@@ -123,57 +123,25 @@ def tt_evaluate(t):
 
 def left_unfold(core):
     """Row modes {1,2}: (r_in*n, r_out) for interior cores, identity for W_1."""
-    if core.ndim == 2:
-        return core
-    r_in, n, r_out = core.shape
-    return core.reshape(r_in * n, r_out)
+    return core.reshape(-1, core.shape[-1])
 
 
 def right_unfold(core):
     """Row mode {1}: (r_in, n*r_out) for interior cores, identity for W_d."""
-    if core.ndim == 2:
-        return core
-    r_in, n, r_out = core.shape
-    return core.reshape(r_in, n * r_out)
-
-
-def _refold_left(mat, core_shape):
-    if len(core_shape) == 2:
-        return mat
-    r_in, n, _ = core_shape
-    return mat.reshape(r_in, n, mat.shape[1])
-
-
-def _refold_right(mat, core_shape):
-    if len(core_shape) == 2:
-        return mat
-    _, n, r_out = core_shape
-    return mat.reshape(mat.shape[0], n, r_out)
-
-
-def orthogonalize_left(t):
-    """Equal train whose cores 1..d-1 have orthonormal columns."""
-    cores = [c.copy() for c in t.cores]
-    d = len(cores)
-    for i in range(d - 1):
-        mat = left_unfold(cores[i])
-        q, r = qr(mat)
-        cores[i] = _refold_left(q, cores[i].shape[:-1] + (q.shape[1],))
-        nxt = right_unfold(cores[i + 1])
-        cores[i + 1] = _refold_right(r @ nxt, (r.shape[0],) + cores[i + 1].shape[1:])
-    return TTTensor(cores, ortho="left")
+    return core.reshape(core.shape[0], -1)
 
 
 def orthogonalize_right(t):
-    """Equal train whose cores 2..d have orthonormal rows."""
-    cores = [c.copy() for c in t.cores]
-    d = len(cores)
-    for i in range(d - 1, 0, -1):
-        mat = right_unfold(cores[i])
-        r, q = rq_row_orthonormal(mat)
-        cores[i] = _refold_right(q, (q.shape[0],) + cores[i].shape[1:])
-        prev = left_unfold(cores[i - 1])
-        cores[i - 1] = _refold_left(prev @ r, cores[i - 1].shape[:-1] + (r.shape[1],))
+    """Equal train whose cores 2..d have orthonormal rows.
+
+    Every core of the result is a new array; the input is not modified.
+    """
+    cores = list(t.cores)
+    for i in range(len(cores) - 1, 0, -1):
+        r, q = rq_row_orthonormal(right_unfold(cores[i]))
+        cores[i] = q.reshape(-1, *cores[i].shape[1:])
+        prev = cores[i - 1]
+        cores[i - 1] = (left_unfold(prev) @ r).reshape(*prev.shape[:-1], -1)
     return TTTensor(cores, ortho="right")
 
 
@@ -195,14 +163,11 @@ def tt_round(t, target_ranks):
     min(target, input rank) per edge.
     """
     target = clip_ranks(t.shape, target_ranks)
-    work = orthogonalize_right(t)
-    cores = work.cores
-    d = len(cores)
-    for i in range(d - 1):
-        mat = left_unfold(cores[i])
-        u, s, vt, _ = truncated_svd(mat, target[i])
-        cores[i] = _refold_left(u, cores[i].shape[:-1] + (u.shape[1],))
+    cores = orthogonalize_right(t).cores
+    for i in range(len(cores) - 1):
+        core, nxt = cores[i], cores[i + 1]
+        u, s, vt, _ = truncated_svd(left_unfold(core), target[i])
+        cores[i] = u.reshape(*core.shape[:-1], -1)
         carry = s[:, None] * vt
-        nxt = right_unfold(cores[i + 1])
-        cores[i + 1] = _refold_right(carry @ nxt, (carry.shape[0],) + cores[i + 1].shape[1:])
+        cores[i + 1] = (carry @ right_unfold(nxt)).reshape(-1, *nxt.shape[1:])
     return TTTensor(cores, ortho="left")

@@ -3,10 +3,12 @@
 Everything here is deliberately written the slow, obvious way (explicit
 index loops, Gram-matrix eigenvalues via Jacobi rotations, python-int
 bit mixing) and shares no code with the package, so agreement between
-the two is meaningful.  The two exceptions are ref_randomized_sparse,
-which keeps the package's arithmetic and changes only how the sketch rows
-are drawn, and ref_draw_tail_cores, which keeps the package's RQ and
-right-orthogonalizes by hand, so that each can be compared bit for bit.
+the two is meaningful.  The exceptions keep the package's arithmetic so
+that each can be compared bit for bit: ref_randomized_sparse changes only
+how the sketch rows are drawn, ref_draw_tail_cores right-orthogonalizes
+by hand with the package's RQ, and ref_orthogonalize_right and
+ref_tt_round are the train operations before their refolds became
+reshapes, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
 kept word for word as the reference for the table that replaced it.
 """
@@ -226,6 +228,82 @@ def ref_draw_tail_cores(shape, ranks, rng):
     _, q = rq_row_orthonormal(right_unfold(cores[1]))
     cores[1] = q if d == 2 else q.reshape(cores[1].shape)
     return cores
+
+
+# Right orthogonalization and rounding as they were while the boundary
+# cores had their own unfold and refold branches and the input cores were
+# copied first: word for word apart from the ref_ names, kept as the
+# bit-for-bit reference of the reshape-only rewrite.
+
+def ref_left_unfold(core):
+    """Row modes {1,2}: (r_in*n, r_out) for interior cores, identity for W_1."""
+    if core.ndim == 2:
+        return core
+    r_in, n, r_out = core.shape
+    return core.reshape(r_in * n, r_out)
+
+
+def ref_right_unfold(core):
+    """Row mode {1}: (r_in, n*r_out) for interior cores, identity for W_d."""
+    if core.ndim == 2:
+        return core
+    r_in, n, r_out = core.shape
+    return core.reshape(r_in, n * r_out)
+
+
+def _ref_refold_left(mat, core_shape):
+    if len(core_shape) == 2:
+        return mat
+    r_in, n, _ = core_shape
+    return mat.reshape(r_in, n, mat.shape[1])
+
+
+def _ref_refold_right(mat, core_shape):
+    if len(core_shape) == 2:
+        return mat
+    _, n, r_out = core_shape
+    return mat.reshape(mat.shape[0], n, r_out)
+
+
+def ref_orthogonalize_right(t):
+    """Equal train whose cores 2..d have orthonormal rows."""
+    from ttsketch.linalg import rq_row_orthonormal
+    from ttsketch.tt import TTTensor
+
+    cores = [c.copy() for c in t.cores]
+    d = len(cores)
+    for i in range(d - 1, 0, -1):
+        mat = ref_right_unfold(cores[i])
+        r, q = rq_row_orthonormal(mat)
+        cores[i] = _ref_refold_right(q, (q.shape[0],) + cores[i].shape[1:])
+        prev = ref_left_unfold(cores[i - 1])
+        cores[i - 1] = _ref_refold_left(prev @ r, cores[i - 1].shape[:-1] + (r.shape[1],))
+    return TTTensor(cores, ortho="right")
+
+
+def ref_tt_round(t, target_ranks):
+    """Truncate a train to the target ranks.
+
+    Right-orthogonalizes first, then runs one left-to-right sweep of
+    rank-truncated SVDs, so each local cut is taken against an
+    orthonormal environment.  The result is left-orthogonal with ranks
+    min(target, input rank) per edge.
+    """
+    from ttsketch.linalg import truncated_svd
+    from ttsketch.tt import TTTensor, clip_ranks
+
+    target = clip_ranks(t.shape, target_ranks)
+    work = ref_orthogonalize_right(t)
+    cores = work.cores
+    d = len(cores)
+    for i in range(d - 1):
+        mat = ref_left_unfold(cores[i])
+        u, s, vt, _ = truncated_svd(mat, target[i])
+        cores[i] = _ref_refold_left(u, cores[i].shape[:-1] + (u.shape[1],))
+        carry = s[:, None] * vt
+        nxt = ref_right_unfold(cores[i + 1])
+        cores[i + 1] = _ref_refold_right(carry @ nxt, (carry.shape[0],) + cores[i + 1].shape[1:])
+    return TTTensor(cores, ortho="left")
 
 
 def ref_fix_svd_signs(u, vt):

@@ -15,9 +15,9 @@ from gates import (
     quadratic_chord_ratio,
 )
 from ttsketch import (
-    AlsConfig, RngStream, als_half_sweep, clip_ranks, contract,
+    RngStream, als_half_sweep, clip_ranks, contract,
     gaussian_dense, gaussian_sparse, matricize, random_tt, randomized_range,
-    randomized_tt_svd, relative_error, sparse_to_dense, tt_evaluate,
+    randomized_tt_svd, relative_error, tt_evaluate,
     tt_svd_truncated,
 )
 from ttsketch.decompose import OversamplingSpec, compute_eta
@@ -171,7 +171,7 @@ def test_c07_sparse_dense_equivalence(capsys):
             continue
         sketch = clip_ranks(shape, 5)
         a, _ = randomized_tt_svd(xs, sketch, stream.substream(1))
-        b, _ = randomized_tt_svd(sparse_to_dense(xs), sketch, stream.substream(1))
+        b, _ = randomized_tt_svd(xs.to_dense(), sketch, stream.substream(1))
         for ca, cb in zip(a.cores, b.cores):
             worst = max(worst, float(np.max(np.abs(ca - cb))))
     _verdict(
@@ -243,7 +243,7 @@ def test_c10_als_comparison(capsys):
         )
     rng = RngStream(309)
     x = tt_evaluate(random_tt((4,) * 5, 3, rng.substream(0)))
-    t, _ = als_half_sweep(x, AlsConfig(clip_ranks(x.shape, 3)), rng.substream(1))
+    t, _ = als_half_sweep(x, clip_ranks(x.shape, 3), rng.substream(1))
     exact_err = relative_error(x, t)
     ok = exact_err <= 1e-10 and all(r.ok for r in tests.values())
     detail = "; ".join(

@@ -5,7 +5,7 @@ import pytest
 
 import oracles as o
 from ttsketch import (
-    AlsConfig, RngStream, als_half_sweep, clip_ranks, gaussian_dense,
+    RngStream, als_half_sweep, clip_ranks, gaussian_dense,
     random_tt, relative_error, tt_evaluate,
 )
 from ttsketch.als import _draw_tail_cores
@@ -16,7 +16,7 @@ def test_objectives_non_increasing():
     rng = RngStream(81)
     for trial in range(50):
         x = gaussian_dense((3, 3, 3, 3), rng.substream(trial, 0))
-        _, obj = als_half_sweep(x, AlsConfig(2), rng.substream(trial, 1))
+        _, obj = als_half_sweep(x, 2, rng.substream(trial, 1))
         assert len(obj) == 4
         for a, b in zip(obj, obj[1:]):
             assert b <= a + 1e-9 * max(1.0, a)
@@ -25,7 +25,7 @@ def test_objectives_non_increasing():
 def test_exact_recovery_of_low_rank_target():
     rng = RngStream(82)
     x = tt_evaluate(random_tt((3, 4, 3, 4), 2, rng.substream(0)))
-    t, obj = als_half_sweep(x, AlsConfig(clip_ranks(x.shape, 2)), rng.substream(1))
+    t, obj = als_half_sweep(x, clip_ranks(x.shape, 2), rng.substream(1))
     f2 = float(np.sum(x**2))
     assert obj[-1] <= 1e-20 * f2
     assert relative_error(x, t) <= 1e-10
@@ -41,7 +41,7 @@ def test_matrix_case_matches_sketched_projector():
     rng = RngStream(83)
     f = gaussian_dense((8, 6), rng.substream(0))
     seed = rng.substream(1)
-    t, _ = als_half_sweep(f, AlsConfig((3,)), seed)
+    t, _ = als_half_sweep(f, (3,), seed)
     g = seed.substream(2).normals((3, 6))
     y = f @ g.T
     q, _ = np.linalg.qr(y)
@@ -52,7 +52,7 @@ def test_matrix_case_matches_sketched_projector():
 def test_objective_tracks_true_error():
     rng = RngStream(84)
     x = gaussian_dense((3, 3, 3), rng.substream(0))
-    t, obj = als_half_sweep(x, AlsConfig(2), rng.substream(1))
+    t, obj = als_half_sweep(x, 2, rng.substream(1))
     err2 = np.linalg.norm((tt_evaluate(t) - x).ravel()) ** 2
     assert abs(obj[-1] - err2) < 1e-9 * max(1.0, err2)
 
@@ -60,9 +60,9 @@ def test_objective_tracks_true_error():
 def test_validation():
     rng = RngStream(86)
     with pytest.raises(ValueError):
-        als_half_sweep(np.zeros((2, 2)), AlsConfig(1), rng)
+        als_half_sweep(np.zeros((2, 2)), 1, rng)
     with pytest.raises(ValueError):
-        als_half_sweep(np.ones(3), AlsConfig(1), rng)
+        als_half_sweep(np.ones(3), 1, rng)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -70,7 +70,7 @@ def test_non_finite_target_rejected(bad):
     f = np.ones((3, 4, 2))
     f[1, 2, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        als_half_sweep(f, AlsConfig(2), RngStream(87))
+        als_half_sweep(f, 2, RngStream(87))
 
 
 @pytest.mark.parametrize("n", [2, 4])

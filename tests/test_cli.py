@@ -86,11 +86,14 @@ def test_unknown_experiment_rejected():
 
 @pytest.mark.parametrize("argv, message", [
     (["run", "noise", "--p", "-1"], "oversampling must be nonnegative"),
+    (["run", "noise", "--samples", "0", "--d", "4", "--n", "2", "--r", "1",
+      "--rstar", "1"], "samples must be positive"),
     (["run", "runtime", "--d", "5"],
      r"entry count must be in \[1, element count\]"),
     (["decompose", "--input", "missing.txt", "--method", "det", "--r", "1"],
      "No such file or directory: 'missing.txt'"),
-], ids=["run-p-negative", "run-nnz-above-size", "decompose-missing-input"])
+], ids=["run-p-negative", "run-samples-0", "run-nnz-above-size",
+        "decompose-missing-input"])
 def test_errors_end_in_one_line(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as info:

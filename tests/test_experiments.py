@@ -66,6 +66,13 @@ def test_resolve_config_defaults():
     assert grid == (0,)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("name", ["noise", "runtime", "als"])
+def test_resolve_config_rejects_nonpositive_samples(name, samples):
+    with pytest.raises(ValueError, match="samples must be positive"):
+        resolve_config(ExperimentConfig(name, samples=samples))
+
+
 @pytest.mark.parametrize("fixed", [
     {}, {"full_scale": True}, {"full_scale": True, "samples": 3},
     {"d": 5}, {"d": 5, "full_scale": True}, {"p": 3}, {"p": 0},

@@ -1,9 +1,18 @@
 """Text formats: round trips, 1-based indices on disk, error reporting."""
 
+import os
+import random
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from ttsketch import RngStream, SparseTensor, gaussian_sparse, random_tt
+from ttsketch import (
+    RngStream, SparseTensor, TTTensor, gaussian_sparse, random_tt,
+)
 from ttsketch.fileio import (
     load_dense, load_sparse, load_tensor_file, load_tt, load_tt_file,
     save_dense, save_sparse, save_tt,
@@ -98,6 +107,15 @@ def test_sparse_entry_errors_name_the_entry():
         load_sparse("sparse 2 2 2 1 1 1 abc")
     with pytest.raises(ValueError, match="entry 2: bad number '2.0x'"):
         load_sparse("sparse 2 2 2 2 1 1 1.0 2 2 2.0x")
+    with pytest.raises(ValueError, match="entry 2: expected an integer index, got '1.5'"):
+        load_sparse("sparse 2 3 3 2 1 1 5.0 1.5 1 2.0")
+    # a bad value in a later entry does not hide an earlier bad entry
+    with pytest.raises(ValueError, match="entry 1: expected an integer index, got 'x'"):
+        load_sparse("sparse 2 3 3 2  1 x 5.0  1 1 abc")
+    with pytest.raises(ValueError, match="entry 1: index 9 out of range"):
+        load_sparse("sparse 2 3 3 2  1 9 5.0  1 1 abc")
+    with pytest.raises(ValueError, match="entry 1: non-finite"):
+        load_sparse("sparse 2 3 3 2  1 1 inf  1 1 abc")
 
 
 def test_sparse_line_breaks_are_cosmetic():
@@ -125,3 +143,91 @@ def test_unknown_tag(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_tensor_file(empty)
+
+
+# Finite doubles, with signed zeros, the smallest subnormal and values near
+# the top of the range drawn often.
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _saved_text(save, x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.txt")
+        save(path, x)
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+
+
+def _rewrap(text, seed):
+    """The same tokens with every newline replaced by random whitespace."""
+    rnd = random.Random(seed)
+    return "".join(
+        rnd.choice(" \t\n\r\x0b\x0c") * rnd.randint(1, 3) if c == "\n" else c
+        for c in text
+    )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=3),
+              elements=FLOATS), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_dense_files_round_trip_bit_exact(x, seed):
+    text = _saved_text(save_dense, x)
+    assert _same_bits(load_dense(text), x)  # signbit of -0.0 included
+    assert _same_bits(load_dense(_rewrap(text, seed)), x)
+
+
+@st.composite
+def sparse_tensors(draw):
+    shape = draw(st.one_of(
+        st.just((2,) * 70),
+        st.lists(st.integers(1, 2 ** 62), min_size=1, max_size=5).map(tuple),
+    ))
+    rows = draw(st.lists(
+        st.tuples(*(st.integers(0, n - 1) for n in shape)),
+        max_size=20, unique=True,
+    ))
+    values = draw(st.lists(FLOATS.filter(lambda v: v != 0.0),
+                           min_size=len(rows), max_size=len(rows)))
+    idx = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
+    return SparseTensor(shape, idx, values)
+
+
+@example(SparseTensor((2 ** 62, 1), [[2 ** 62 - 1, 0]], [5e-324]), 0)
+@example(SparseTensor((2,) * 70, [[1] * 70], [-1e300]), 1)
+@given(sparse_tensors(), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_sparse_files_round_trip_bit_exact(xs, seed):
+    text = _saved_text(save_sparse, xs)
+    for back in (load_sparse(text), load_sparse(_rewrap(text, seed))):
+        assert back.shape == xs.shape
+        assert np.array_equal(back.idx, xs.idx)
+        assert _same_bits(back.values, xs.values)
+
+
+@st.composite
+def trains(draw):
+    d = draw(st.integers(2, 5))
+    shape = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+    dims = [(shape[0], ranks[0])]
+    dims += [(ranks[i - 1], shape[i], ranks[i]) for i in range(1, d - 1)]
+    dims.append((ranks[-1], shape[-1]))
+    return TTTensor([draw(arrays(np.float64, dim, elements=FLOATS))
+                     for dim in dims])
+
+
+@given(trains(), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_train_files_round_trip_bit_exact(t, seed):
+    text = _saved_text(save_tt, t)
+    for back in (load_tt(text), load_tt(_rewrap(text, seed))):
+        assert back.shape == t.shape and back.ranks == t.ranks
+        assert all(_same_bits(a, b) for a, b in zip(back.cores, t.cores))

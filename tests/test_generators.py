@@ -10,7 +10,7 @@ import oracles as o
 
 from ttsketch import (
     RngStream, SparseTensor, gaussian_dense, gaussian_sparse, noisy_low_rank, random_tt,
-    random_tt_decay, sparse_to_dense, tt_evaluate, matricize,
+    random_tt_decay, tt_evaluate, matricize,
 )
 from ttsketch.generators import decay_values
 
@@ -181,4 +181,4 @@ def test_sparse_values_are_gaussian():
     vals = xs.values
     assert abs(vals.mean()) < 0.08
     assert 0.9 < vals.var() < 1.1
-    assert np.all(sparse_to_dense(xs)[tuple(xs.idx.T)] == vals)
+    assert np.all(xs.to_dense()[tuple(xs.idx.T)] == vals)

@@ -68,13 +68,14 @@ def test_counter_layout_row_major():
     rng = RngStream(5)
     flat = rng.normals(6)
     assert np.array_equal(rng.normals((2, 3)).ravel(), flat)
-    assert np.array_equal(rng.normals_at(np.arange(6)), flat)
+    at = K.gammas_at(np.arange(6, dtype=np.uint64), 1, 0, rng.key)[:, 0]
+    assert np.array_equal(at, flat)
 
 
 def test_explicit_counters_match_oracle():
     rng = RngStream(17)
     counters = np.array([3, 10**9, 2**53], dtype=np.uint64)
-    got = rng.normals_at(counters)
+    got = K.gammas_at(counters, 1, 0, rng.key)[:, 0]
     want = [o.ref_normal(rng.key, int(c)) for c in counters]
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 

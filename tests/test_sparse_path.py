@@ -4,7 +4,7 @@ import numpy as np
 
 from ttsketch import (
     RngStream, SparseTensor, clip_ranks, gaussian_sparse, randomized_tt_svd,
-    relative_error, sparse_to_dense, tt_norm,
+    relative_error, tt_norm,
 )
 from ttsketch import _kernels as K
 from ttsketch.tt import right_unfold
@@ -13,7 +13,7 @@ from ttsketch.tt import right_unfold
 def _paths_agree(shape, nnz, sketch, seed, tol=1e-10):
     rng = RngStream(seed)
     xs = gaussian_sparse(shape, nnz, rng.substream(0))
-    x = sparse_to_dense(xs)
+    x = xs.to_dense()
     a, _ = randomized_tt_svd(xs, sketch, rng.substream(1))
     b, _ = randomized_tt_svd(x, sketch, rng.substream(1))
     assert a.ranks == b.ranks
@@ -50,7 +50,7 @@ def test_gamma_counters_match_dense_layout():
 def test_single_entry_exact():
     xs = SparseTensor((3, 4, 5), [[1, 2, 3]], [2.5])
     t, _ = randomized_tt_svd(xs, (1, 1), RngStream(6))
-    assert relative_error(sparse_to_dense(xs), t) < 1e-12
+    assert relative_error(xs.to_dense(), t) < 1e-12
 
 
 def test_unaddressable_shape_runs():

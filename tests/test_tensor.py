@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles as o
 from ttsketch import RngStream, SparseTensor, contract, matricize
 from ttsketch.tensor import (
-    check_dense_size, inner, norm, sparse_to_dense,
+    check_dense_size, inner, norm,
 )
 
 
@@ -117,9 +117,9 @@ def test_norm_values():
 def test_sparse_empty_and_single():
     empty = SparseTensor((2, 2, 2), np.empty((0, 3), dtype=np.int64), [])
     assert empty.nnz == 0
-    assert np.all(sparse_to_dense(empty) == 0.0)
+    assert np.all(empty.to_dense() == 0.0)
     one = SparseTensor((2, 2, 2), [[1, 1, 1]], [2.5])
-    dense = sparse_to_dense(one)
+    dense = one.to_dense()
     assert dense[1, 1, 1] == 2.5
     assert np.sum(dense != 0.0) == 1
 
@@ -131,7 +131,7 @@ def test_sparse_matches_placement_oracle():
     values = rng.substream(1).normals(idx.shape[0])
     xs = SparseTensor((4, 4, 4), idx, values)
     assert np.array_equal(
-        sparse_to_dense(xs), o.naive_sparse_dense((4, 4, 4), idx, values)
+        xs.to_dense(), o.naive_sparse_dense((4, 4, 4), idx, values)
     )
 
 

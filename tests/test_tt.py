@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles as o
 from ttsketch import (
-    RngStream, TTTensor, clip_ranks, orthogonalize_left, orthogonalize_right,
+    RngStream, TTTensor, clip_ranks, orthogonalize_right, randomized_tt_svd,
     random_tt, tt_evaluate, tt_norm, tt_round, tt_svd_truncated, zero_tt,
 )
 from ttsketch.tt import left_unfold, right_unfold
@@ -84,27 +86,10 @@ def test_norm_matches_dense():
     assert t.ortho is None  # input untouched
 
 
-def test_orthogonalize_left():
-    t = random_tt((3, 4, 3, 4), 3, RngStream(43))
-    x = tt_evaluate(t)
-    lt = orthogonalize_left(t)
-    assert lt.ortho == "left"
-    assert np.linalg.norm(tt_evaluate(lt) - x) < 1e-12 * np.linalg.norm(x)
-    for core in lt.cores[:-1]:
-        m = left_unfold(core)
-        assert np.linalg.norm(m.T @ m - np.eye(m.shape[1])) < 1e-12
-
-
-def test_orthogonalize_left_rank_one_pushes_magnitude():
-    t = TTTensor([
-        np.array([[3.0], [0.0]]),
-        np.array([[[0.0], [2.0]]]),
-        np.array([[5.0, 0.0]]),
-    ])
-    lt = orthogonalize_left(t)
-    for core in lt.cores[:-1]:
-        assert abs(np.linalg.norm(core.ravel()) - 1.0) < 1e-14
-    assert abs(np.linalg.norm(lt.cores[-1]) - 30.0) < 1e-13
+def test_unfoldings_of_boundary_cores_are_the_cores():
+    w1, _, wd = random_tt((3, 4, 2), 2, RngStream(43)).cores
+    assert np.array_equal(left_unfold(w1), w1)
+    assert np.array_equal(right_unfold(wd), wd)
 
 
 def test_orthogonalize_right():
@@ -118,10 +103,22 @@ def test_orthogonalize_right():
         assert np.linalg.norm(m @ m.T - np.eye(m.shape[0])) < 1e-12
 
 
+def test_orthogonalize_right_rank_one_pushes_magnitude():
+    t = TTTensor([
+        np.array([[3.0], [0.0]]),
+        np.array([[[0.0], [2.0]]]),
+        np.array([[5.0, 0.0]]),
+    ])
+    rt = orthogonalize_right(t)
+    for core in rt.cores[1:]:
+        assert abs(np.linalg.norm(core.ravel()) - 1.0) < 1e-14
+    assert abs(np.linalg.norm(rt.cores[0]) - 30.0) < 1e-13
+
+
 def test_orthogonalize_preserves_already_orthogonal():
-    t = orthogonalize_left(random_tt((3, 3, 3), 2, RngStream(45)))
+    t = orthogonalize_right(random_tt((3, 3, 3), 2, RngStream(45)))
     x = tt_evaluate(t)
-    again = orthogonalize_left(t)
+    again = orthogonalize_right(t)
     assert np.linalg.norm(tt_evaluate(again) - x) < 1e-12
 
 
@@ -157,3 +154,52 @@ def test_round_matches_dense_truncation_error():
     dense_t, _ = tt_svd_truncated(x, 3)
     err_dense = np.linalg.norm((tt_evaluate(dense_t) - x).ravel()) / nx
     assert abs(err_round - err_dense) < 1e-10
+
+
+@st.composite
+def train_cases(draw):
+    """(train, target ranks): orders 2-6, mode sizes 1-4, edge ranks 1-6.
+
+    Ranks above the dimension products stay unclipped in Gaussian cores and
+    clamp in the randomized sweep; the deterministic sweep clips them.  The
+    two sweeps give the core layouts the package itself produces.
+    """
+    d = draw(st.integers(2, 6))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    edge_ranks = st.lists(st.integers(1, 6), min_size=d - 1, max_size=d - 1)
+    ranks, target = draw(edge_ranks), draw(edge_ranks)
+    source = draw(st.sampled_from(["gaussian", "randomized", "svd"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if source == "gaussian":
+        dims = [(shape[0], ranks[0])]
+        dims += [(ranks[i - 1], shape[i], ranks[i]) for i in range(1, d - 1)]
+        dims.append((ranks[-1], shape[-1]))
+        return TTTensor([rng.standard_normal(dim) for dim in dims]), target
+    x = rng.standard_normal(shape)
+    if source == "randomized":
+        return randomized_tt_svd(x, ranks, RngStream(d))[0], target
+    return tt_svd_truncated(x, ranks)[0], target
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                  b.view(np.uint64))
+
+
+@example((TTTensor([np.ones((1, 1)), np.ones((1, 1))]), [1]))
+@example((random_tt((4, 1, 3), 1, RngStream(3)), [1, 1]))
+@example((random_tt((2, 3, 2, 4), (2, 6, 4), RngStream(4)), [6, 1, 6]))
+@given(train_cases())
+@settings(max_examples=60, deadline=None)
+def test_train_operations_match_the_refold_reference(case):
+    t, target = case
+    before = [c.copy() for c in t.cores]
+    for got, want in ((orthogonalize_right(t), o.ref_orthogonalize_right(t)),
+                      (tt_round(t, target), o.ref_tt_round(t, target))):
+        assert got.ortho == want.ortho
+        assert all(_same_bits(a, b) for a, b in zip(got.cores, want.cores))
+        assert len(got.cores) == len(want.cores)
+        # the result holds new arrays only
+        assert not any(np.shares_memory(a, c) for a in got.cores for c in t.cores)
+    # no input core was modified
+    assert all(_same_bits(c, b) for c, b in zip(t.cores, before))
