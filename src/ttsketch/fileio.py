@@ -30,8 +30,7 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def _token_reader(text, what):
-    tokens = text.split()
+def _token_reader(tokens, what):
     pos = 0
 
     def take(count=None):
@@ -83,7 +82,7 @@ def save_dense(path, x):
 
 
 def load_dense(text):
-    take, done = _token_reader(text, "dense tensor")
+    take, done = _token_reader(text.split(), "dense tensor")
     if take() != "dense":
         raise ValueError("not a dense tensor file")
     d = _take_int(take, "dense header")
@@ -107,7 +106,8 @@ def save_sparse(path, x):
 
 
 def load_sparse(text):
-    take, done = _token_reader(text, "sparse tensor")
+    tokens = text.split()
+    take = _token_reader(tokens, "sparse tensor")[0]
     if take() != "sparse":
         raise ValueError("not a sparse tensor file")
     d = _take_int(take, "sparse header")
@@ -117,15 +117,23 @@ def load_sparse(text):
     nnz = _take_int(take, "sparse header")
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
+    del take  # it holds the token list, which is freed once converted
     # The entries as one table: d 1-based indices and a value per entry,
+    # cut out of the token list in place rather than copied from it, and
     # converted in one shot each; any failure takes the slow path, which
-    # names the first entry at fault.
-    table = take(nnz * (d + 1))
-    values = table[d::d + 1]
-    del table[d::d + 1]
+    # names the first entry at fault.  Trailing tokens are reported only
+    # for a table that loads.
+    count = nnz * (d + 1)
+    del tokens[:d + 3]
+    if len(tokens) < count:
+        raise ValueError("truncated sparse tensor data")
+    trailing = len(tokens) > count
+    del tokens[count:]
+    values = tokens[d::d + 1]
+    del tokens[d::d + 1]
     try:
         values = np.array(values, dtype=np.float64)
-        idx = np.array(table, dtype=np.int64).reshape(nnz, d)
+        idx = np.array(tokens, dtype=np.int64).reshape(nnz, d)
         ok = (np.all(idx.min(axis=0, initial=1) >= 1)
               and np.all(idx.max(axis=0, initial=1) <= shape)
               and np.isfinite(values.min(initial=0.0))
@@ -133,10 +141,11 @@ def load_sparse(text):
     except (ValueError, OverflowError):
         ok = False
     if not ok:
-        raise _first_bad_entry(table, values, shape)
-    del table
+        raise _first_bad_entry(tokens, values, shape)
+    del tokens
+    if trailing:
+        raise ValueError("trailing tokens in sparse tensor data")
     idx -= 1
-    done()
     return SparseTensor(shape, idx, values)
 
 
@@ -185,7 +194,7 @@ def save_tt(path, t):
 
 
 def load_tt(text):
-    take, done = _token_reader(text, "tensor train")
+    take, done = _token_reader(text.split(), "tensor train")
     if take() != "tt":
         raise ValueError("not a tensor train file")
     d = _take_int(take, "tt header")
@@ -211,7 +220,8 @@ def load_tensor_file(path):
     """Load a dense or sparse tensor file, deciding by the leading tag."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    tag = text.split(None, 1)
+    # Keep only the tag: the rest of a split in two is a copy of the text.
+    tag = text.split(None, 1)[:1]
     if not tag:
         raise ValueError(f"{path}: empty tensor file")
     if tag[0] == "dense":

@@ -151,6 +151,9 @@ class SparseTensor:
     Entries are kept in canonical (row-major linear) order, duplicates are
     rejected and explicit zeros dropped, so equal tensors have equal
     storage.  Shapes may exceed any dense limit; only the entries exist.
+    Index and value arrays that need no change (int64 and float64,
+    C-ordered, in canonical order, no zeros) are kept as given, shared with
+    the caller rather than copied.
     """
 
     __slots__ = ("shape", "idx", "values")
@@ -174,8 +177,9 @@ class SparseTensor:
                     f"index out of range in mode {k} for size {self.shape[k]}"
                 )
         keep = values != 0.0
-        idx = idx[keep]
-        values = values[keep]
+        if not keep.all():
+            idx = idx[keep]
+            values = values[keep]
         # Rows already in canonical order, as save_sparse writes them, are
         # kept as given; anything else is sorted and checked for duplicates.
         if idx.shape[0] > 1 and not _strictly_increasing(idx):
@@ -191,8 +195,8 @@ class SparseTensor:
             rows = idx.view(row).ravel()
             if np.any(rows[1:] == rows[:-1]):
                 raise ValueError("duplicate multi-indices in sparse tensor")
-        self.idx = idx
-        self.values = values
+        self.idx = np.ascontiguousarray(idx)
+        self.values = np.ascontiguousarray(values)
 
     @property
     def nnz(self):

@@ -11,9 +11,11 @@ ref_tt_round are the train operations before their refolds became
 reshapes, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
 kept word for word as the reference for the table that replaced it.
+peak_bytes is the allocation peak that the memory bounds measure.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -22,6 +24,16 @@ _PHI = 0x9E3779B97F4A7C15
 _GAMMA2 = 0xD1B54A32D192ED03
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+
+
+def peak_bytes(fn):
+    """Largest total of traced allocations while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ref_mix(z):
@@ -154,8 +166,9 @@ def ref_randomized_sparse(xs, sketch, rng):
     each stored entry, so entries sharing a prefix draw the same row again.
     The bit-identity tests compare the package's one-row-per-prefix draw
     with it, so unlike the rest of this module it runs the package's own
-    kernels, RQ and prefix codes: only the draw may differ.  `sketch` is
-    one width per edge.
+    kernels, RQ and prefix codes: only the draw (each entry maps to its own
+    row) and the first core's scatter-add (np.add.at here) may differ.
+    `sketch` is one width per edge.
     """
     from ttsketch import _kernels as K
     from ttsketch.decompose import _prefix_codes
@@ -184,7 +197,7 @@ def ref_randomized_sparse(xs, sketch, rng):
         gam = K.gammas_at(
             heads[j - 1][order], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
         )
-        a_by_mode = K.sparse_sketch(mu, vals, gam, n_j)
+        a_by_mode = K.sparse_sketch(mu, vals, gam, np.arange(len(mu)), n_j)
         a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
             s_prev, n_j * t_dim
         )

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import oracles as o
 from ttsketch import (
     RngStream, SparseTensor, TTTensor, gaussian_sparse, random_tt,
 )
@@ -116,6 +117,63 @@ def test_sparse_entry_errors_name_the_entry():
         load_sparse("sparse 2 3 3 2  1 9 5.0  1 1 abc")
     with pytest.raises(ValueError, match="entry 1: non-finite"):
         load_sparse("sparse 2 3 3 2  1 1 inf  1 1 abc")
+
+
+_RANGE = "out of range for mode size 3 (indices are 1-based)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "truncated sparse tensor data"),
+    ("dense 1 2 1 2", "not a sparse tensor file"),
+    ("sparse", "truncated sparse tensor data"),
+    ("sparse x", "expected an integer in sparse header, got 'x'"),
+    ("sparse 0 1", "order must be positive"),
+    ("sparse 2 3", "truncated sparse tensor data"),
+    ("sparse 2 3 y 1", "expected an integer in sparse header, got 'y'"),
+    ("sparse 2 3 0 1", "mode sizes must be positive, got (3, 0)"),
+    ("sparse 2 3 3", "truncated sparse tensor data"),
+    ("sparse 2 3 3 z", "expected an integer in sparse header, got 'z'"),
+    ("sparse 2 3 3 -1", "entry count must be nonnegative"),
+    ("sparse 2 3 3 1", "truncated sparse tensor data"),
+    ("sparse 2 3 3 2 1 1 5.0 1 2", "truncated sparse tensor data"),
+    ("sparse 2 3 3 1 1 1 5.0 2", "trailing tokens in sparse tensor data"),
+    ("sparse 2 3 3 0 7", "trailing tokens in sparse tensor data"),
+    ("sparse 2 3 3 2 1 1 5.0 1.5 1 2.0",
+     "entry 2: expected an integer index, got '1.5'"),
+    ("sparse 2 3 3 2 1 1 5.0 2 0 2.0", f"entry 2: index 0 {_RANGE}"),
+    ("sparse 2 3 3 2 1 1 5.0 -1 1 2.0", f"entry 2: index -1 {_RANGE}"),
+    ("sparse 2 3 3 2 1 1 5.0 1 10000000000000000000000 2.0",
+     f"entry 2: index 10000000000000000000000 {_RANGE}"),
+    ("sparse 2 3 3 2 1 1 5.0 1 2 -inf", "entry 2: non-finite value"),
+    ("sparse 2 3 3 2 1 1 5.0 1 2 nan", "entry 2: non-finite value"),
+    ("sparse 2 3 3 2 1 1 5.0 1 2 1e999", "entry 2: non-finite value"),
+    ("sparse 2 2 2 2 1 1 1.0 2 2 2.0x", "entry 2: bad number '2.0x'"),
+    # a bad entry is named before trailing tokens are
+    ("sparse 2 3 3 2  1 1 5.0  1 1 abc  7", "entry 2: bad number 'abc'"),
+    ("sparse 2 3 3 2  1 1 5.0  1 9 1.0  7 8", f"entry 2: index 9 {_RANGE}"),
+    ("sparse 2 3 3 2  1 1 5.0  1 1 1.0  7", "trailing tokens in sparse tensor data"),
+])
+def test_sparse_reader_messages_are_exact(text, message):
+    with pytest.raises(ValueError) as err:
+        load_sparse(text)
+    assert str(err.value) == message
+
+
+def test_sparse_load_holds_one_token_list():
+    # Beside the token list that splitting the text makes, the load holds
+    # the result and the list of value tokens; a second copy of the entry
+    # table's tokens (d + 1 list slots per entry) does not fit.
+    rng = np.random.default_rng(0)
+    d, n = 8, 20000
+    idx = np.unique(rng.integers(0, 50, (n, d)), axis=0)
+    n = idx.shape[0]
+    text = "\n".join(
+        [" ".join(["sparse", str(d)] + ["50"] * d + [str(n)])]
+        + [" ".join(map(str, row + 1)) + " " + format(v, ".17g")
+           for row, v in zip(idx, rng.standard_normal(n))])
+    tokens = o.peak_bytes(text.split)
+    peak = o.peak_bytes(lambda: load_sparse(text))
+    assert peak < tokens + 8 * (d + 1) * n
 
 
 def test_sparse_line_breaks_are_cosmetic():

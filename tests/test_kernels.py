@@ -1,7 +1,6 @@
 """Chunked normals, grouped sparse kernels, uint64 prefix codes and the
 one-row-per-prefix Gaussian draw against oracles."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -67,23 +66,14 @@ def test_gammas_at_matches_unchunked_stream(n, s_prev, p_mod, key):
     assert _same_bits(got, want)
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_chunked_draws_hold_little_beyond_their_output():
     # A one-shot draw holds five full-size temporaries beside its output
     # (about 9x the output); chunks keep a fixed few hundred kilobytes.
     count = 2 ** 20
-    assert _peak_bytes(lambda: K.standard_normals(12345, count)) < 8 * count + 2 ** 20
+    assert o.peak_bytes(lambda: K.standard_normals(12345, count)) < 8 * count + 2 ** 20
     n, s = 80_000, 8
     heads = np.arange(n, dtype=np.uint64) * np.uint64(2 ** 40 + 1)
-    peak = _peak_bytes(lambda: K.gammas_at(heads, s, np.uint64(3 ** 30), np.uint64(7)))
+    peak = o.peak_bytes(lambda: K.gammas_at(heads, s, np.uint64(3 ** 30), np.uint64(7)))
     assert peak < 8 * n * s + 2 ** 20
 
 
@@ -99,13 +89,16 @@ def kernel_cases(draw):
 
 
 def _step(case):
+    """(n_j, mu, vals, gam, rows, w): gam holds one Gaussian row per prefix,
+    fewer than the entries, and rows maps each entry to its prefix's row."""
     n_j, mu, s, t, seed = case
     rng = np.random.default_rng(seed)
     mu = np.sort(np.asarray(mu, dtype=np.int64))
     vals = rng.standard_normal((mu.size, t))
-    gam = rng.standard_normal((mu.size, s))
+    gam = rng.standard_normal((max(1, mu.size // 2), s))
+    rows = rng.integers(0, gam.shape[0], mu.size)
     w = rng.standard_normal((n_j, s, t))
-    return n_j, mu, vals, gam, w
+    return n_j, mu, vals, gam, rows, w
 
 
 KERNEL_EXAMPLES = (
@@ -126,10 +119,10 @@ def _with_examples(test):
 @given(kernel_cases())
 @settings(max_examples=60, deadline=None)
 def test_sketch_matches_scatter_oracle(case):
-    n_j, mu, vals, gam, _ = _step(case)
-    a = K.sparse_sketch(mu, vals, gam, n_j)
+    n_j, mu, vals, gam, rows, _ = _step(case)
+    a = K.sparse_sketch(mu, vals, gam, rows, n_j)
     assert a.shape == (n_j, gam.shape[1], vals.shape[1])
-    np.testing.assert_allclose(a, o.ref_sparse_sketch(mu, vals, gam, n_j),
+    np.testing.assert_allclose(a, o.ref_sparse_sketch(mu, vals, gam[rows], n_j),
                                rtol=1e-12, atol=1e-12)
     empty = np.setdiff1d(np.arange(n_j), mu)
     assert not a[empty].any()
@@ -139,7 +132,7 @@ def test_sketch_matches_scatter_oracle(case):
 @given(kernel_cases())
 @settings(max_examples=60, deadline=None)
 def test_update_matches_scatter_oracle(case):
-    _, mu, vals, _, w = _step(case)
+    _, mu, vals, _, _, w = _step(case)
     out = K.sparse_update(mu, vals, w)
     assert out.shape == (vals.shape[0], w.shape[1])
     np.testing.assert_allclose(out, o.ref_sparse_update(mu, vals, w),
@@ -194,9 +187,9 @@ def test_sketch_gaussians_match_python_int_path(x, seed):
         drawn.append((heads.shape[0], int(key)))
         return gammas_at(heads, s_prev, p_mod, key)
 
-    def spy_sketch(mu, vals, gam, n_j):
-        sketched.append((mu.copy(), gam.copy()))
-        return sparse_sketch(mu, vals, gam, n_j)
+    def spy_sketch(mu, vals, gam, rows, n_j):
+        sketched.append((mu.copy(), gam[rows]))
+        return sparse_sketch(mu, vals, gam, rows, n_j)
 
     with mock.patch.object(K, "gammas_at", spy_gammas), \
             mock.patch.object(K, "sparse_sketch", spy_sketch):
@@ -267,17 +260,17 @@ def _one_long_prefix():
     return SparseTensor((3,) * 20, idx, np.arange(1.0, 10.0))
 
 
-def _random_binary(d, nnz, seed):
+def _random_sparse(n, d, nnz, seed):
     rng = np.random.default_rng(seed)
-    idx = np.unique(rng.integers(0, 2, (nnz, d)), axis=0)
-    return SparseTensor((2,) * d, idx, rng.standard_normal(idx.shape[0]))
+    idx = np.unique(rng.integers(0, n, (nnz, d)), axis=0)
+    return SparseTensor((n,) * d, idx, rng.standard_normal(idx.shape[0]))
 
 
 @pytest.mark.parametrize("x, width", [
     (SparseTensor((3, 4), [[0, 1], [0, 3], [2, 0]], [1.0, -2.0, 0.5]), 2),
     (SparseTensor((3, 4, 5), [[2, 1, 4]], [3.0]), 2),
     (_one_long_prefix(), 4),
-    (_random_binary(80, 60, 1), 20),
+    (_random_sparse(2, 80, 60, 1), 20),
     (_binary_class_b(68), 10),
     (_binary_class_b(90), 10),
 ], ids=["order-2", "nnz-1", "one-long-prefix", "binary-80",
@@ -310,16 +303,39 @@ def test_class_b_input_has_colliding_prefix_codes(d):
 def test_sparse_sweep_holds_no_per_level_arrays():
     # Live at once, beside the input: the prefix codes (d*N uint64), the
     # result's cores, gammas_at's chunk scratch (its counters and two
-    # uint64 work arrays of _CHUNK entries each) and at most four arrays of
-    # N x s floats (the projected rows, the rows drawn per prefix, the rows
-    # gathered to the entries and the next projected rows).  Everything
-    # else is O(N) or O(s^2 n).  One more array of d*N integers, such as a
-    # run array kept for every level, does not fit.
-    d, s = 80, 20
-    x = _random_binary(d, 500, 5)
-    n = x.nnz
-    widths = (s,) * (d - 1)
+    # uint64 work arrays of _CHUNK entries each) and at most three arrays
+    # of N x s floats: the projected rows, the rows drawn per prefix and
+    # one mode group's rows gathered from them during the sketch, then the
+    # projected rows and the next ones during the update.  Everything else
+    # is O(N) or O(s^2 n).  Gathering the rows of all entries at once, or
+    # one more array of d*N integers, such as a run array kept for every
+    # level, does not fit.
+    for x, s in ((_random_sparse(2, 80, 500, 5), 20),
+                 (_random_sparse(8, 12, 4000, 5), 16)):
+        n = x.nnz
+        widths = (s,) * (x.ndim - 1)
+        t, _ = randomized_tt_svd(x, widths, RngStream(3))
+        cores = sum(c.nbytes for c in t.cores)
+        peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
+        assert peak < x.ndim * n * 8 + cores + 3 * C * 8 + 3 * n * s * 8
+
+
+def test_dense_sketch_frees_each_gaussian_block():
+    # A dense step holds its b and one Gaussian block of s x lead normals
+    # (plus the chunk scratch), then b beside its projection onto the core:
+    # the block never outlives its product, so it never sits beside the
+    # next b or the next step's block.  At the first step b is the input.
+    shape, s = (4,) * 9, 8
+    x = np.random.default_rng(0).standard_normal(shape)
+    widths = (s,) * (len(shape) - 1)
     t, _ = randomized_tt_svd(x, widths, RngStream(3))
     cores = sum(c.nbytes for c in t.cores)
-    peak = _peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
-    assert peak < d * n * 8 + cores + 3 * C * 8 + 4 * n * s * 8
+    lead = x.size // shape[-1]
+    held = bound = 0
+    for j in range(len(shape), 1, -1):
+        b_next = 8 * lead * t.cores[j - 1].shape[0]
+        bound = max(bound, held + max(8 * s * lead, b_next))
+        held = b_next
+        lead //= shape[j - 2]
+    peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
+    assert peak < bound + cores + 3 * C * 8 + 2 ** 16
