@@ -3,8 +3,9 @@
 The decompositions themselves are delegated to numpy; what this module
 adds is determinism (each factor's sign ambiguity is resolved the same
 way everywhere) and the small variants the decomposition sweeps need:
-rank-truncated SVD, a row-orthonormal RQ, and a relative-threshold
-numerical rank.
+rank-truncated SVD, the left factor and singular values of a wide
+matrix from the R factor of its long side (Chan's R-SVD), a
+row-orthonormal RQ, and a relative-threshold numerical rank.
 """
 
 import numpy as np
@@ -37,6 +38,22 @@ def svd(a):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     u, vt = _fix_svd_signs(u, vt)
     return u, s, vt
+
+
+def left_svd(a):
+    """Left singular vectors and singular values of a; vt is never formed.
+
+    A wide matrix is reduced first (Chan, ACM TOMS 8, 1982): a.T = q @ r
+    gives a = r.T @ q.T, so the square r.T has the same u and s, and q is
+    not formed either.  Tall and square matrices take the plain SVD.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("left_svd expects a matrix")
+    if a.shape[0] < a.shape[1]:
+        a = np.linalg.qr(a.T, mode="r").T
+    u, s, _ = svd(a)
+    return u, s
 
 
 def truncated_svd(a, rank):
@@ -78,7 +95,7 @@ def rq_row_orthonormal(a):
 def numerical_rank(s, rel_tol):
     """Number of singular values above rel_tol times the largest one."""
     s = np.asarray(s)
-    if rel_tol < 0:
+    if not rel_tol >= 0:
         raise ValueError("relative tolerance must be nonnegative")
     if s.size == 0 or s[0] <= 0.0:
         return 0

@@ -68,6 +68,22 @@ class TTTensor:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks}, ortho={self.ortho})"
 
 
+def integral_ranks(ranks, edges):
+    """One positive int per edge; a single value applies to every edge.
+
+    Python and numpy integers (and integral floats) pass; a fractional
+    rank raises ValueError instead of being floored.
+    """
+    ranks = [ranks] * edges if np.isscalar(ranks) else list(ranks)
+    if len(ranks) != edges:
+        raise ValueError(f"expected {edges} ranks, got {len(ranks)}")
+    if any(int(r) != r for r in ranks):
+        raise ValueError(f"ranks must be integers, got {ranks}")
+    if any(r < 1 for r in ranks):
+        raise ValueError("ranks must be positive")
+    return [int(r) for r in ranks]
+
+
 def clip_ranks(shape, ranks):
     """Clip requested ranks to the dimension products on both sides.
 
@@ -79,14 +95,7 @@ def clip_ranks(shape, ranks):
     d = len(shape)
     if d < 2:
         raise ValueError("rank clipping needs order >= 2")
-    if np.isscalar(ranks):
-        ranks = [int(ranks)] * (d - 1)
-    else:
-        ranks = [int(r) for r in ranks]
-    if len(ranks) != d - 1:
-        raise ValueError(f"expected {d - 1} ranks, got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be positive")
+    ranks = integral_ranks(ranks, d - 1)
     out = []
     left = 1
     for i in range(d - 1):

@@ -8,7 +8,9 @@ that each can be compared bit for bit: ref_randomized_sparse changes only
 how the sketch rows are drawn, ref_draw_tail_cores right-orthogonalizes
 by hand with the package's RQ, and ref_orthogonalize_right and
 ref_tt_round are the train operations before their refolds became
-reshapes, kept word for word.
+reshapes, kept word for word.  ref_svd_sweep is the deterministic sweep
+as it was before it took its steps from the R factor: one full SVD per
+unfolding, the remainder carried as s * vt, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
 kept word for word as the reference for the table that replaced it.
 peak_bytes is the allocation peak that the memory bounds measure.
@@ -317,6 +319,52 @@ def ref_tt_round(t, target_ranks):
         nxt = ref_right_unfold(cores[i + 1])
         cores[i + 1] = _ref_refold_right(carry @ nxt, (carry.shape[0],) + cores[i + 1].shape[1:])
     return TTTensor(cores, ortho="left")
+
+
+def ref_svd_sweep(x, pick_rank):
+    """Deterministic TT-SVD sweep with a full SVD of every unfolding."""
+    import time
+
+    from ttsketch.decompose import DecompositionReport, _zero_result
+    from ttsketch.linalg import svd
+    from ttsketch.tensor import check_finite
+    from ttsketch.tt import TTTensor
+
+    x = np.asarray(x, dtype=np.float64)
+    shape = x.shape
+    d = len(shape)
+    if d < 2:
+        raise ValueError("decomposition needs order >= 2")
+    t0 = time.perf_counter()
+    if not x.any():
+        return _zero_result(shape, t0)
+    check_finite(x)
+    cores = []
+    discarded = []
+    cur = x.reshape(shape[0], -1)
+    r_prev = 1
+    for i in range(d - 1):
+        u, s, vt = svd(cur)
+        k = max(1, min(pick_rank(s, i), s.shape[0]))
+        discarded.append(float(np.sum(s[k:] ** 2)))
+        if i == 0:
+            cores.append(u[:, :k])
+        else:
+            cores.append(u[:, :k].reshape(r_prev, shape[i], k))
+        rest = s[:k, None] * vt[:k]
+        if i < d - 2:
+            cur = rest.reshape(k * shape[i + 1], -1)
+        else:
+            cur = rest
+        r_prev = k
+    cores.append(cur)
+    result = TTTensor(cores, ortho="left")
+    report = DecompositionReport(
+        ranks=result.ranks,
+        discarded_energy=tuple(discarded),
+        wall_time_s=time.perf_counter() - t0,
+    )
+    return result, report
 
 
 def ref_fix_svd_signs(u, vt):

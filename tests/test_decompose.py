@@ -12,6 +12,7 @@ from ttsketch import (
     randomized_tt_svd, relative_error, success_probability, tt_evaluate,
     tt_norm, tt_svd_exact, tt_svd_truncated, zero_tt,
 )
+from ttsketch.linalg import numerical_rank
 from ttsketch.tt import right_unfold
 
 ETA_10_5 = 7.653622860886378     # frozen: 1 + sqrt(24) + e*sqrt(15)/6
@@ -80,6 +81,49 @@ def test_truncated_discarded_energy_accounts_error():
     t, report = tt_svd_truncated(x, 2)
     err2 = (relative_error(x, t) * np.linalg.norm(x.ravel())) ** 2
     assert err2 <= sum(report.discarded_energy) + 1e-10
+
+
+def _exact_rank_cases():
+    # Orders 2-6 with random modes and ranks, then shapes with tall
+    # unfoldings: order 2 both ways, a tall first unfolding.
+    rng = RngStream(57)
+    cases = []
+    for trial in range(32):
+        d = 2 + trial % 5
+        modes = rng.substream(trial, 0).index_draws(1, [4] * d)[0]
+        cases.append((tuple(int(n) + 2 for n in modes), 1 + trial % 4))
+    cases += [((9, 3), 2), ((3, 9), 2), ((12, 2, 2), 3), ((20, 3, 2, 2), 4),
+              ((2, 2, 12), 3)]
+    return [pytest.param(shape, rank, trial,
+                         id="x".join(map(str, shape)) + f"-r{rank}")
+            for trial, (shape, rank) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("shape, rank, trial", _exact_rank_cases())
+def test_exact_sweep_matches_full_svd_sweep(shape, rank, trial):
+    x = tt_evaluate(random_tt(shape, rank, RngStream(57).substream(trial, 1)))
+    t, report = tt_svd_exact(x)
+    want, want_report = o.ref_svd_sweep(x, lambda s, _i: numerical_rank(s, 1e-12))
+    assert report.ranks == want_report.ranks == t.ranks
+    assert t.ortho == "left"
+    assert relative_error(x, t) <= 1e-11
+    assert np.linalg.norm(tt_evaluate(t) - tt_evaluate(want)) <= 1e-11 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (3, 9), (12, 2, 2), (3, 4, 5, 2), (4,) * 6],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_truncated_sweep_matches_full_svd_sweep(shape, rank):
+    x = gaussian_dense(shape, RngStream(58).substream(rank))
+    target = clip_ranks(shape, rank)
+    t, report = tt_svd_truncated(x, rank)
+    want, want_report = o.ref_svd_sweep(x, lambda s, i: target[i])
+    assert report.ranks == want_report.ranks == target
+    # Discarded energies on the scale they share, the energy of x.
+    energy = float(np.sum(x * x))
+    got = np.array(report.discarded_energy)
+    assert np.max(np.abs(got - want_report.discarded_energy)) <= 1e-12 * energy
+    assert np.linalg.norm(tt_evaluate(t) - tt_evaluate(want)) <= 1e-10 * np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +316,26 @@ def test_non_finite_dense_input_rejected(decompose, bad):
     x[2, 0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         decompose(x)
+
+
+def test_nan_relative_tolerance_rejected():
+    x = gaussian_dense((3, 4, 5), RngStream(73))
+    with pytest.raises(ValueError, match="tolerance"):
+        tt_svd_exact(x, float("nan"))
+
+
+@pytest.mark.parametrize("decompose", [
+    lambda x, r: tt_svd_truncated(x, r),
+    lambda x, r: randomized_tt_svd(x, r, RngStream(74)),
+], ids=["truncated", "randomized"])
+def test_fractional_ranks_rejected(decompose):
+    x = gaussian_dense((3, 4, 5), RngStream(75))
+    for ranks in (2.7, (2, 2.5), np.array([2.0, 1.5])):
+        with pytest.raises(ValueError, match="integers"):
+            decompose(x, ranks)
+    for ranks in (2, np.int64(2), (np.int32(2), 2), np.array([2, 2])):
+        t, report = decompose(x, ranks)
+        assert report.ranks == t.ranks == (2, 2)
 
 
 def test_randomized_error_never_exceeds_norm():

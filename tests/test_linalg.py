@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles as o
 from ttsketch import RngStream
 from ttsketch.linalg import (
-    _fix_svd_signs, numerical_rank, qr, rq_row_orthonormal, svd, truncated_svd,
+    _fix_svd_signs, left_svd, numerical_rank, qr, rq_row_orthonormal, svd,
+    truncated_svd,
 )
 
 
@@ -65,6 +68,66 @@ def test_svd_deterministic():
     u1, s1, vt1 = svd(a)
     u2, s2, vt2 = svd(a.copy())
     assert np.array_equal(u1, u2) and np.array_equal(vt1, vt2)
+
+
+@st.composite
+def svd_cases(draw):
+    """(kind, shape, inner rank or None, seed) for left_svd's property test."""
+    kind = draw(st.sampled_from(["wide", "tall", "square", "deficient", "row"]))
+    short = draw(st.integers(1, 12))
+    long = draw(st.integers(short + 1, 400))
+    if kind == "wide":
+        shape = (short, long)
+    elif kind == "tall":
+        shape = (long, short)
+    elif kind == "square":
+        shape = (short, short)
+    elif kind == "row":
+        shape = (1, long)
+    else:
+        shape = draw(st.sampled_from([(short + 1, long), (long, short + 1)]))
+    inner = draw(st.integers(1, min(shape) - 1)) if kind == "deficient" else None
+    return kind, shape, inner, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _svd_case(shape, inner, seed):
+    rng = RngStream(seed)
+    if inner is None:
+        return rng.normals(shape)
+    return (rng.substream(0).normals((shape[0], inner))
+            @ rng.substream(1).normals((inner, shape[1])))
+
+
+@example(("wide", (4, 4 ** 6), None, 0))
+@example(("wide", (16, 4 ** 5), None, 1))
+@example(("deficient", (3, 50), 1, 2))
+@example(("deficient", (50, 3), 2, 3))
+@example(("row", (1, 1), None, 4))
+@given(svd_cases())
+@settings(max_examples=60, deadline=None)
+def test_left_svd_matches_numpy_svd(case):
+    _, shape, inner, seed = case
+    a = _svd_case(shape, inner, seed)
+    u, s = left_svd(a)
+    want_u, want_s, _ = np.linalg.svd(a, full_matrices=False)
+    assert u.shape == want_u.shape and s.shape == want_s.shape
+    s0 = want_s[0]
+    assert np.max(np.abs(s - want_s)) <= 1e-12 * s0
+    assert numerical_rank(s, 1e-12) == numerical_rank(want_s, 1e-12)
+    # Columns are pinned (up to sign) where their singular value stands
+    # apart from its neighbours and from zero.
+    gaps = np.abs(np.diff(np.concatenate(([np.inf], want_s, [0.0]))))
+    separated = np.minimum(gaps[:-1], gaps[1:]) > 1e-2 * s0
+    assert np.max(np.abs(np.abs(u[:, separated]) - np.abs(want_u[:, separated])),
+                  initial=0.0) <= 1e-10
+    # Sign convention of _fix_svd_signs: largest-magnitude entry nonnegative.
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    assert np.all(top >= 0.0)
+
+
+def test_left_svd_rejects_non_matrices():
+    with pytest.raises(ValueError, match="matrix"):
+        left_svd(np.ones(3))
 
 
 def test_truncated_svd_trivials():
@@ -134,3 +197,7 @@ def test_numerical_rank():
          + np.outer(rng.substream(2).normals(5), rng.substream(3).normals(5)))
     s = np.linalg.svd(a, compute_uv=False)
     assert numerical_rank(s, 1e-10) == 2
+    with pytest.raises(ValueError, match="tolerance"):
+        numerical_rank(s, float("nan"))
+    with pytest.raises(ValueError, match="tolerance"):
+        numerical_rank(s, -1e-12)
