@@ -33,7 +33,9 @@ _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
-_U53 = np.uint64(53)
+_U21 = np.uint64(21)
+_U32 = np.uint64(32)
+_U_LO = np.uint64(0xFFFFFFFF)
 _U1 = np.uint64(1)
 _TWO53_INV = float(2.0 ** -53)
 _TWO_PI = 2.0 * math.pi
@@ -126,9 +128,22 @@ def _normals_into(key, c, out):
 
 
 def indices_at(key, counters, bound):
-    """Uniform draws on [0, bound) at the given counters."""
-    v = _values_np(key, counters.astype(np.uint64))
-    return (((v >> _U11) * np.uint64(bound)) >> _U53).astype(np.int64)
+    """Uniform draws on [0, bound) at the given counters, bound <= 2**63.
+
+    Draw i is floor(u * bound / 2**53) for the top 53 bits u of the raw
+    output, exact for every bound: the 116-bit product is formed from
+    32-bit limbs, so no partial product wraps in uint64.
+    """
+    u = _values_np(key, counters.astype(np.uint64)) >> _U11
+    b_hi, b_lo = np.uint64(int(bound) >> 32), np.uint64(int(bound) & 0xFFFFFFFF)
+    u_hi, u_lo = u >> _U32, u & _U_LO
+    low = u_lo * b_lo
+    mid = u_hi * b_lo + (low >> _U32)
+    mid2 = u_lo * b_hi + (mid & _U_LO)
+    high = u_hi * b_hi + (mid >> _U32) + (mid2 >> _U32)
+    # product >> 53: the high word's bits above 11, then bits 53..63 of
+    # the low word, which are bits 21..31 of mid2
+    return ((high << _U11) | ((mid2 & _U_LO) >> _U21)).astype(np.int64)
 
 
 def gammas_at(heads, s_prev, p_mod, key):

@@ -19,20 +19,16 @@ import numpy as np
 
 from .linalg import qr
 from .tensor import check_dense_size, check_finite, element_count
-from .tt import TTTensor, clip_ranks, orthogonalize_right
+from .tt import TTTensor, clip_ranks, core_shapes, orthogonalize_right
 
 
 def _draw_tail_cores(shape, ranks, rng):
     # Cores 2..d, core j drawn from substream j, then right-orthogonalized
     # among themselves: a zero placeholder for core 1 takes the leftover
     # triangular factor and is dropped, as the sweep never reads core 1.
-    d = len(shape)
-    cores = [np.zeros((shape[0], ranks[0]))]
-    for j in range(2, d):
-        cores.append(rng.substream(j).normals(
-            (ranks[j - 2], shape[j - 1], ranks[j - 1])
-        ))
-    cores.append(rng.substream(d).normals((ranks[d - 2], shape[d - 1])))
+    dims = core_shapes(shape, ranks)
+    cores = [np.zeros(dims[0])]
+    cores += [rng.substream(j).normals(dim) for j, dim in enumerate(dims[1:], 2)]
     cores = orthogonalize_right(TTTensor(cores)).cores
     cores[0] = None
     return cores

@@ -38,7 +38,8 @@ from . import _kernels
 # svd is unused here but stays bound: perfbench's tracer test expects it.
 from .linalg import left_svd, numerical_rank, rq_row_orthonormal, svd  # noqa: F401
 from .tensor import (
-    SparseTensor, check_finite, element_count, first_differing_mode, norm,
+    SparseTensor, check_finite, check_integers, element_count,
+    first_differing_mode, norm,
 )
 from .tt import TTTensor, clip_ranks, integral_ranks, tt_evaluate, zero_tt
 
@@ -53,6 +54,8 @@ class OversamplingSpec:
     oversampling: int = 0
 
     def __post_init__(self):
+        self.rank, self.oversampling = check_integers(
+            (self.rank, self.oversampling), "rank and oversampling")
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.oversampling < 0:
@@ -85,8 +88,7 @@ def compute_eta(rank, oversampling, t=1.0, u=1.0):
     oversampling p >= 4 and t, u >= 1.  A step exceeds eta times the
     best error with probability at most 5 t^-p + 2 exp(-u^2/2).
     """
-    r = int(rank)
-    p = int(oversampling)
+    r, p = check_integers((rank, oversampling), "rank and oversampling")
     if r < 1:
         raise ValueError("rank must be positive")
     if p < 4:
@@ -98,9 +100,9 @@ def compute_eta(rank, oversampling, t=1.0, u=1.0):
 
 def success_probability(oversampling, t=1.0, u=1.0, steps=1):
     """Lower bound on the chance that all `steps` projections stay within eta."""
-    p = int(oversampling)
+    p, steps = check_integers((oversampling, steps), "oversampling and steps")
     single = 1.0 - 5.0 * t ** (-p) - 2.0 * math.exp(-u * u / 2.0)
-    return max(0.0, single) ** int(steps)
+    return max(0.0, single) ** steps
 
 
 def randomized_range(a, spec, rng):

@@ -1,6 +1,7 @@
 """Plain-text tensor formats.
 
-Three whitespace-delimited formats, each opened by a tag token:
+Three whitespace-delimited formats share one grammar: a tag, the order
+d, the mode sizes and any further header integers, then the body:
 
   dense  d  n_1 ... n_d            followed by prod(n_i) values in
                                    row-major order
@@ -10,9 +11,12 @@ Three whitespace-delimited formats, each opened by a tag token:
                                    followed by the cores in order, each
                                    flattened row-major
 
-Readers work on the token stream, so line breaks are cosmetic; writers
-put one record per line for dense values and sparse entries and one
-core per line for trains.  All values must be finite.
+Readers split the text once, cut the header and any trailing tokens out
+of that token list in place and convert the body in one numpy call, so
+line breaks are cosmetic; a short body is reported before a bad value in
+it, trailing tokens after it.  Writers put one record per line for dense
+values and sparse entries and one core per line for trains.  All values
+must be finite.
 """
 
 import math
@@ -20,7 +24,7 @@ import math
 import numpy as np
 
 from .tensor import SparseTensor, check_dense_size, check_shape, element_count
-from .tt import TTTensor
+from .tt import TTTensor, core_shapes
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -30,105 +34,99 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def _token_reader(tokens, what):
-    pos = 0
+def _split(text, tag, extra):
+    """The shape, the extra(d) header ints and the body of a `tag` file.
 
-    def take(count=None):
-        nonlocal pos
-        if count is None:
-            if pos >= len(tokens):
-                raise ValueError(f"truncated {what} data")
-            tok = tokens[pos]
-            pos += 1
-            return tok
-        if pos + count > len(tokens):
+    Splits the text once and deletes the header (tag, order d, d mode
+    sizes, extra(d) ints) from the front of the token list in place; the
+    rest of the list is the body.
+    """
+    what = "tensor train" if tag == "tt" else f"{tag} tensor"
+    tokens = text.split()
+
+    def ints(start, count):
+        out = []
+        for tok in tokens[start:start + count]:
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"expected an integer in {tag} header, got {tok!r}") from None
+        if len(out) < count:
             raise ValueError(f"truncated {what} data")
-        out = tokens[pos:pos + count]
-        pos += count
         return out
 
-    def done():
-        if pos != len(tokens):
-            raise ValueError(f"trailing tokens in {what} data")
+    if tokens[:1] != [tag]:
+        raise ValueError(f"not a {what} file" if tokens else f"truncated {what} data")
+    d = ints(1, 1)[0]
+    if d < 1:
+        raise ValueError("order must be positive")
+    shape = check_shape(ints(2, d))
+    head = ints(2 + d, extra(d))
+    del tokens[:2 + d + len(head)]
+    return shape, head, tokens
 
-    return take, done
 
-
-def _take_int(take, what):
-    tok = take()
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"expected an integer in {what}, got {tok!r}") from None
+def _cut(tokens, count, what):
+    """Keep the first `count` body tokens in place; True if more followed."""
+    if len(tokens) < count:
+        raise ValueError(f"truncated {what} data")
+    trailing = len(tokens) > count
+    del tokens[count:]
+    return trailing
 
 
 def _floats(tokens, what):
     try:
-        vals = np.array([float(t) for t in tokens])
+        vals = np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"bad number in {what}: {exc}") from None
-    if not np.all(np.isfinite(vals)):
+    if not (np.isfinite(vals.min(initial=0.0)) and np.isfinite(vals.max(initial=0.0))):
         raise ValueError(f"non-finite value in {what}")
     return vals
 
 
+def _write(path, head, lines):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(" ".join(map(str, head)) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def save_dense(path, x):
     x = np.asarray(x, dtype=np.float64)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        head = ["dense", str(x.ndim)] + [str(n) for n in x.shape]
-        fh.write(" ".join(head) + "\n")
-        for row in x.reshape(-1, x.shape[-1]):
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    _write(path, ["dense", x.ndim, *x.shape],
+           (" ".join(map(_fmt, row)) for row in x.reshape(-1, x.shape[-1])))
 
 
 def load_dense(text):
-    take, done = _token_reader(text.split(), "dense tensor")
-    if take() != "dense":
-        raise ValueError("not a dense tensor file")
-    d = _take_int(take, "dense header")
-    if d < 1:
-        raise ValueError("order must be positive")
-    shape = check_shape(_take_int(take, "dense header") for _ in range(d))
-    total = check_dense_size(shape)
-    vals = _floats(take(total), "dense values")
-    done()
+    shape, _, tokens = _split(text, "dense", lambda d: 0)
+    trailing = _cut(tokens, check_dense_size(shape), "dense tensor")
+    vals = _floats(tokens, "dense values")
+    if trailing:
+        raise ValueError("trailing tokens in dense tensor data")
     return vals.reshape(shape)
 
 
 def save_sparse(path, x):
     if not isinstance(x, SparseTensor):
         raise TypeError("save_sparse expects a SparseTensor")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        head = ["sparse", str(x.ndim)] + [str(n) for n in x.shape] + [str(x.nnz)]
-        fh.write(" ".join(head) + "\n")
-        for row, v in zip(x.idx, x.values):
-            fh.write(" ".join(str(int(i) + 1) for i in row) + " " + _fmt(v) + "\n")
+    _write(path, ["sparse", x.ndim, *x.shape, x.nnz],
+           (" ".join(str(int(i) + 1) for i in row) + " " + _fmt(v)
+            for row, v in zip(x.idx, x.values)))
 
 
 def load_sparse(text):
-    tokens = text.split()
-    take = _token_reader(tokens, "sparse tensor")[0]
-    if take() != "sparse":
-        raise ValueError("not a sparse tensor file")
-    d = _take_int(take, "sparse header")
-    if d < 1:
-        raise ValueError("order must be positive")
-    shape = check_shape(_take_int(take, "sparse header") for _ in range(d))
-    nnz = _take_int(take, "sparse header")
+    shape, (nnz,), tokens = _split(text, "sparse", lambda d: 1)
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
-    del take  # it holds the token list, which is freed once converted
     # The entries as one table: d 1-based indices and a value per entry,
     # cut out of the token list in place rather than copied from it, and
     # converted in one shot each; any failure takes the slow path, which
     # names the first entry at fault.  Trailing tokens are reported only
     # for a table that loads.
-    count = nnz * (d + 1)
-    del tokens[:d + 3]
-    if len(tokens) < count:
-        raise ValueError("truncated sparse tensor data")
-    trailing = len(tokens) > count
-    del tokens[count:]
+    d = len(shape)
+    trailing = _cut(tokens, nnz * (d + 1), "sparse tensor")
     values = tokens[d::d + 1]
     del tokens[d::d + 1]
     try:
@@ -180,40 +178,24 @@ def _first_bad_entry(idx_tokens, values, shape):
 def save_tt(path, t):
     if not isinstance(t, TTTensor):
         raise TypeError("save_tt expects a TTTensor")
-    shape = t.shape
-    ranks = t.ranks
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        head = (
-            ["tt", str(len(shape))]
-            + [str(n) for n in shape]
-            + [str(r) for r in ranks]
-        )
-        fh.write(" ".join(head) + "\n")
-        for core in t.cores:
-            fh.write(" ".join(_fmt(v) for v in core.ravel()) + "\n")
+    _write(path, ["tt", t.order, *t.shape, *t.ranks],
+           (" ".join(map(_fmt, core.ravel())) for core in t.cores))
 
 
 def load_tt(text):
-    take, done = _token_reader(text.split(), "tensor train")
-    if take() != "tt":
-        raise ValueError("not a tensor train file")
-    d = _take_int(take, "tt header")
-    if d < 2:
+    shape, ranks, tokens = _split(text, "tt", lambda d: d - 1)
+    if len(shape) < 2:
         raise ValueError("a tensor train needs order >= 2")
-    shape = check_shape(_take_int(take, "tt header") for _ in range(d))
-    ranks = [_take_int(take, "tt header") for _ in range(d - 1)]
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
-    dims = [(shape[0], ranks[0])]
-    for i in range(1, d - 1):
-        dims.append((ranks[i - 1], shape[i], ranks[i]))
-    dims.append((ranks[d - 2], shape[d - 1]))
-    cores = []
-    for dim in dims:
-        count = element_count(dim)
-        cores.append(_floats(take(count), "tt core").reshape(dim))
-    done()
-    return TTTensor(cores)
+    dims = core_shapes(shape, ranks)
+    sizes = [element_count(dim) for dim in dims]
+    trailing = _cut(tokens, sum(sizes), "tensor train")
+    vals = _floats(tokens, "tt core")
+    if trailing:
+        raise ValueError("trailing tokens in tensor train data")
+    parts = np.split(vals, np.cumsum(sizes[:-1]))
+    return TTTensor([part.reshape(dim) for part, dim in zip(parts, dims)])
 
 
 def load_tensor_file(path):

@@ -9,7 +9,9 @@ consuming shared state, so results are independent of call order.
 import numpy as np
 
 from .tensor import SparseTensor, check_dense_size, check_shape, element_count
-from .tt import TTTensor, clip_ranks, left_unfold, right_unfold, tt_evaluate
+from .tt import (
+    TTTensor, clip_ranks, core_shapes, left_unfold, right_unfold, tt_evaluate,
+)
 from .linalg import svd
 
 
@@ -50,13 +52,8 @@ def random_tt(shape, ranks, rng):
     dimension products.
     """
     shape = check_shape(shape)
-    ranks = clip_ranks(shape, ranks)
-    d = len(shape)
-    cores = [rng.substream(1).normals((shape[0], ranks[0]))]
-    for i in range(1, d - 1):
-        cores.append(rng.substream(i + 1).normals((ranks[i - 1], shape[i], ranks[i])))
-    cores.append(rng.substream(d).normals((ranks[d - 2], shape[d - 1])))
-    return TTTensor(cores)
+    dims = core_shapes(shape, clip_ranks(shape, ranks))
+    return TTTensor([rng.substream(i).normals(dim) for i, dim in enumerate(dims, 1)])
 
 
 def decay_values(count, exponent, cutoff):

@@ -13,6 +13,7 @@ decompositions and experiments reproducible.
 import numpy as np
 
 from . import _kernels
+from .tensor import check_integers, element_count
 
 
 class RngStream:
@@ -33,26 +34,23 @@ class RngStream:
 
     def normals(self, shape):
         """Standard normal draws at counters 0..size-1, reshaped C-order."""
-        shape = (shape,) if np.isscalar(shape) else tuple(int(n) for n in shape)
-        size = 1
-        for n in shape:
-            size *= n
-        out = _kernels.standard_normals(self.key, size)
-        return out.reshape(shape)
+        shape = check_integers((shape,) if np.isscalar(shape) else shape, "sizes")
+        return _kernels.standard_normals(self.key, element_count(shape)).reshape(shape)
 
     def index_draws(self, count, bounds):
         """Uniform multi-indices: an (count, len(bounds)) int64 array.
 
-        Column k is uniform on [0, bounds[k]).  Entry (i, k) consumes
-        counter i*len(bounds)+k, so the draw order is row-major by entry.
+        Column k is uniform on [0, bounds[k]), 1 <= bounds[k] <= 2**63.
+        Entry (i, k) consumes counter i*len(bounds)+k, so the draw order
+        is row-major by entry.
         """
-        bounds = [int(b) for b in bounds]
+        bounds = check_integers(bounds, "index bounds")
+        if not all(1 <= b <= 2 ** 63 for b in bounds):
+            raise ValueError(f"index bounds must lie in [1, 2**63], got {bounds}")
         d = len(bounds)
         out = np.empty((count, d), dtype=np.int64)
         base = np.arange(count, dtype=np.uint64) * np.uint64(d)
         for k, b in enumerate(bounds):
-            if b <= 0:
-                raise ValueError("index bounds must be positive")
             out[:, k] = _kernels.indices_at(np.uint64(self.key), base + np.uint64(k), b)
         return out
 

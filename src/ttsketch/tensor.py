@@ -23,8 +23,24 @@ def element_count(shape):
     return total
 
 
+def check_integers(values, what):
+    """The values as python ints; a fractional one raises ValueError.
+
+    Python and numpy integers and integral floats pass, where int()
+    alone would floor a fraction silently.
+    """
+    values = list(values)
+    try:
+        out = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != values:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return out
+
+
 def check_shape(shape):
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(check_integers(shape, "mode sizes"))
     if len(shape) < 1:
         raise ValueError("tensor order must be at least 1")
     if any(n < 1 for n in shape):

@@ -15,7 +15,7 @@ core, which is what tt_norm exploits.
 import numpy as np
 
 from .linalg import rq_row_orthonormal, truncated_svd
-from .tensor import check_dense_size, check_shape, element_count
+from .tensor import check_dense_size, check_integers, check_shape, element_count
 
 
 class TTTensor:
@@ -27,23 +27,18 @@ class TTTensor:
         cores = [np.asarray(c, dtype=np.float64) for c in cores]
         if len(cores) < 2:
             raise ValueError("a tensor train needs at least two cores")
-        if cores[0].ndim != 2 or cores[-1].ndim != 2:
-            raise ValueError("boundary cores must be matrices")
-        for c in cores[1:-1]:
-            if c.ndim != 3:
-                raise ValueError("interior cores must be order 3")
-        for i in range(len(cores) - 1):
-            left = cores[i].shape[-1]
-            right = cores[i + 1].shape[0]
-            if left != right:
-                raise ValueError(
-                    f"rank mismatch between cores {i} and {i + 1}: "
-                    f"{left} vs {right}"
-                )
+        for i, c in enumerate(cores):
+            if c.ndim < 2:
+                raise ValueError(f"core {i} has shape {c.shape}, expected 2 or 3 axes")
         if ortho not in (None, "left", "right"):
             raise ValueError(f"unknown orthogonality state {ortho!r}")
         self.cores = cores
         self.ortho = ortho
+        # The first core whose shape differs from the layout that the
+        # modes and ranks read off the cores imply is the one at fault.
+        for i, (c, dims) in enumerate(zip(cores, core_shapes(self.shape, self.ranks))):
+            if c.shape != dims:
+                raise ValueError(f"core {i} has shape {c.shape}, expected {dims}")
 
     @property
     def order(self):
@@ -51,11 +46,7 @@ class TTTensor:
 
     @property
     def shape(self):
-        d = self.order
-        dims = [self.cores[0].shape[0]]
-        dims += [c.shape[1] for c in self.cores[1:-1]]
-        dims.append(self.cores[-1].shape[1])
-        return tuple(dims)
+        return (self.cores[0].shape[0], *(c.shape[1] for c in self.cores[1:]))
 
     @property
     def ranks(self):
@@ -68,6 +59,14 @@ class TTTensor:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks}, ortho={self.ortho})"
 
 
+def core_shapes(shape, ranks):
+    """Core shapes of a train: (n_1, r_1), (r_{i-1}, n_i, r_i), (r_{d-1}, n_d)."""
+    edges = (1, *ranks, 1)
+    dims = [(edges[i], n, edges[i + 1]) for i, n in enumerate(shape)]
+    dims[0], dims[-1] = dims[0][1:], dims[-1][:2]
+    return dims
+
+
 def integral_ranks(ranks, edges):
     """One positive int per edge; a single value applies to every edge.
 
@@ -77,11 +76,10 @@ def integral_ranks(ranks, edges):
     ranks = [ranks] * edges if np.isscalar(ranks) else list(ranks)
     if len(ranks) != edges:
         raise ValueError(f"expected {edges} ranks, got {len(ranks)}")
-    if any(int(r) != r for r in ranks):
-        raise ValueError(f"ranks must be integers, got {ranks}")
+    ranks = check_integers(ranks, "ranks")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
-    return [int(r) for r in ranks]
+    return ranks
 
 
 def clip_ranks(shape, ranks):
@@ -110,11 +108,8 @@ def zero_tt(shape):
     shape = check_shape(shape)
     if len(shape) < 2:
         raise ValueError("a tensor train needs order >= 2")
-    cores = [np.zeros((shape[0], 1))]
-    for n in shape[1:-1]:
-        cores.append(np.zeros((1, n, 1)))
-    cores.append(np.zeros((1, shape[-1])))
-    return TTTensor(cores)
+    dims = core_shapes(shape, [1] * (len(shape) - 1))
+    return TTTensor([np.zeros(dim) for dim in dims])
 
 
 def tt_evaluate(t):

@@ -338,6 +338,27 @@ def test_fractional_ranks_rejected(decompose):
         assert report.ranks == t.ranks == (2, 2)
 
 
+def test_fractional_counts_rejected():
+    for call in (
+        lambda: OversamplingSpec(2.5, 1),
+        lambda: OversamplingSpec(2, 1.5),
+        lambda: compute_eta(10.7, 5.9),
+        lambda: compute_eta(10, 5.5),
+        lambda: success_probability(4.5),
+        lambda: success_probability(5, steps=1.5),
+        lambda: RngStream(0).normals((2.5, 1)),
+        lambda: RngStream(0).normals(2.7),
+        lambda: gaussian_dense((3, 2.5), RngStream(0)),
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            call()
+    # integral values of any integer or float type still pass
+    assert OversamplingSpec(np.int64(3), 2.0).sketch_size == 5
+    assert compute_eta(10.0, np.int32(5)) == compute_eta(10, 5)
+    assert success_probability(6.0, steps=2.0) == success_probability(6, steps=2)
+    assert np.array_equal(RngStream(0).normals(3.0), RngStream(0).normals(3))
+
+
 def test_randomized_error_never_exceeds_norm():
     rng = RngStream(70)
     for trial in range(5):

@@ -192,6 +192,68 @@ def test_tt_errors():
         load_tt("tt 2 2 2 0")
 
 
+_BAD = "could not convert string to float"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "truncated tensor train data"),
+    ("dense 1 1 1", "not a tensor train file"),
+    ("tt x", "expected an integer in tt header, got 'x'"),
+    ("tt 1 5", "a tensor train needs order >= 2"),
+    ("tt 2 2 x", "expected an integer in tt header, got 'x'"),
+    ("tt 2 2 2", "truncated tensor train data"),
+    ("tt 2 2 2 0", "ranks must be positive"),
+    ("tt 2 2 2 1 1 2", "truncated tensor train data"),
+    ("tt 2 2 2 1 1 x 3 4", f"bad number in tt core: {_BAD}: 'x'"),
+    ("tt 3 2 2 2 1 1  1 2  3 4  5 6x  7 8", f"bad number in tt core: {_BAD}: '6x'"),
+    ("tt 2 2 2 1 1 inf 3 4", "non-finite value in tt core"),
+    ("tt 2 2 2 1 1 2 3 -1e999", "non-finite value in tt core"),
+    ("tt 2 2 2 1 1 2 3 4 5", "trailing tokens in tensor train data"),
+    # a bad value is named before trailing tokens are, but a short body
+    # is reported before the bad value in it
+    ("tt 2 2 2 1 1 nan 3 4 5", "non-finite value in tt core"),
+    ("tt 2 2 2 1 x 2 3", "truncated tensor train data"),
+])
+def test_tt_reader_messages_are_exact(text, message):
+    with pytest.raises(ValueError) as err:
+        load_tt(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "truncated dense tensor data"),
+    ("sparse 1 2", "not a dense tensor file"),
+    ("dense x 2", "expected an integer in dense header, got 'x'"),
+    ("dense 0", "order must be positive"),
+    ("dense 2 2 0", "mode sizes must be positive, got (2, 0)"),
+    ("dense 2 2 2 1 2 3", "truncated dense tensor data"),
+    ("dense 1 2 1 x", f"bad number in dense values: {_BAD}: 'x'"),
+    ("dense 1 2 1 2.0x", f"bad number in dense values: {_BAD}: '2.0x'"),
+    ("dense 1 2 1 inf", "non-finite value in dense values"),
+    ("dense 1 2 -inf 1", "non-finite value in dense values"),
+    ("dense 2 2 2 1 2 3 4 5", "trailing tokens in dense tensor data"),
+    ("dense 1 2 1 nan 5", "non-finite value in dense values"),
+    ("dense 2 2 2 x 2 3", "truncated dense tensor data"),
+])
+def test_dense_reader_messages_are_exact(text, message):
+    with pytest.raises(ValueError) as err:
+        load_dense(text)
+    assert str(err.value) == message
+
+
+def test_dense_load_holds_one_token_list():
+    # Beside the token list that splitting the text makes, the load holds
+    # the result, 8 bytes a value; a second list of the value tokens (8
+    # bytes a slot) or a list of python floats (32 bytes a value) does
+    # not fit.
+    n = 40000
+    x = np.random.default_rng(0).standard_normal(n)
+    text = f"dense 2 200 {n // 200}\n" + "\n".join(format(v, ".17g") for v in x)
+    tokens = o.peak_bytes(text.split)
+    peak = o.peak_bytes(lambda: load_dense(text))
+    assert peak < tokens + 16 * n
+
+
 def test_unknown_tag(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("mystery 1 2\n")

@@ -117,4 +117,22 @@ def test_index_draws_layout_and_bounds():
         assert list(col) == want
     with pytest.raises(ValueError):
         rng.index_draws(3, (4, 0))
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        rng.index_draws(3, (4, 2 ** 63 + 1))
+    with pytest.raises(ValueError, match="integers"):
+        rng.index_draws(3, (4, 2.5))
+
+
+@pytest.mark.parametrize(
+    "bound", [2 ** 11, 2 ** 12, 3 * 10 ** 6, 2 ** 40, 2 ** 62, 2 ** 63])
+def test_index_draws_exact_for_large_bounds(bound):
+    # The exact floor(u * bound / 2**53) for the top 53 bits u, as a python
+    # int; a plain uint64 product wraps above 2**11 and keeps every draw
+    # below 2048.
+    rng = RngStream(43)
+    got = K.indices_at(np.uint64(rng.key), np.arange(2000, dtype=np.uint64), bound)
+    want = [o.ref_index(rng.key, c, bound) for c in range(2000)]
+    assert [int(v) for v in got] == want
+    assert 0.45 < np.mean(got >= bound // 2) < 0.55
+    assert rng.index_draws(1000, [bound]).max() >= bound // 2
 

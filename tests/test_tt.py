@@ -10,7 +10,7 @@ from ttsketch import (
     RngStream, TTTensor, clip_ranks, orthogonalize_right, randomized_tt_svd,
     random_tt, tt_evaluate, tt_norm, tt_round, tt_svd_truncated, zero_tt,
 )
-from ttsketch.tt import left_unfold, right_unfold
+from ttsketch.tt import core_shapes, left_unfold, right_unfold
 
 
 def test_core_validation():
@@ -22,6 +22,30 @@ def test_core_validation():
         TTTensor([np.ones((2, 2, 2)), np.ones((2, 2))])  # boundary order
     with pytest.raises(ValueError):
         TTTensor([np.ones((2, 2)), np.ones((2, 2))], ortho="diagonal")
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ([(2, 2), (3, 2)], "core 1 has shape (3, 2), expected (2, 2)"),
+    ([(2, 2, 2), (2, 2)], "core 0 has shape (2, 2, 2), expected (2, 2)"),
+    ([(2, 3), (3, 4), (4, 2)], "core 1 has shape (3, 4), expected (3, 4, 4)"),
+    ([(2, 3), (3, 4, 5), (4, 2)], "core 2 has shape (4, 2), expected (5, 2)"),
+    ([(2, 3), (3, 4, 5), (5, 2, 1)], "core 2 has shape (5, 2, 1), expected (5, 2)"),
+    ([(2, 2), (2, 2, 2, 1)], "core 1 has shape (2, 2, 2, 1), expected (2, 2)"),
+    ([(2, 2), (2,)], "core 1 has shape (2,), expected 2 or 3 axes"),
+    ([(), (2, 2)], "core 0 has shape (), expected 2 or 3 axes"),
+])
+def test_core_validation_names_the_first_bad_core(shapes, message):
+    with pytest.raises(ValueError) as err:
+        TTTensor([np.ones(shape) for shape in shapes])
+    assert str(err.value) == message
+
+
+def test_core_shapes():
+    assert core_shapes((3, 4), (2,)) == [(3, 2), (2, 4)]
+    assert core_shapes((3, 4, 5, 6), (2, 7, 1)) == [
+        (3, 2), (2, 4, 7), (7, 5, 1), (1, 6)]
+    for t in (zero_tt((2, 3, 4)), random_tt((3, 4, 5, 2), (2, 9, 2), RngStream(8))):
+        assert [c.shape for c in t.cores] == core_shapes(t.shape, t.ranks)
 
 
 def test_evaluate_rank_one_outer_product():
