@@ -26,7 +26,7 @@ from .experiments import (
 from .fileio import load_tensor_file, save_tt
 from .rng import RngStream
 from .tensor import SparseTensor
-from .tt import clip_ranks, tt_round
+from .tt import tt_round
 
 
 def _build_parser():
@@ -89,16 +89,13 @@ def _cmd_decompose(args):
     if args.p < 0:
         raise SystemExit("--p must be nonnegative")
     shape = x.shape
-    if len(shape) < 2:
-        raise SystemExit("decomposition needs order >= 2")
     t0 = time.perf_counter()
     if args.method == "det":
         if isinstance(x, SparseTensor):
             x = x.to_dense()
         result, report = tt_svd_truncated(x, args.r)
     else:
-        sketch = clip_ranks(shape, args.r + args.p)
-        draft, report = randomized_tt_svd(x, sketch, RngStream(args.seed))
+        draft, report = randomized_tt_svd(x, args.r + args.p, RngStream(args.seed))
         result = tt_round(draft, args.r)
     elapsed = time.perf_counter() - t0
     save_tt(args.out, result)

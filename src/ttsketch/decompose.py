@@ -81,6 +81,11 @@ class DecompositionReport:
             raise ValueError("discarded energies must be nonnegative")
 
 
+def _check_t_u(t, u):
+    if not (t >= 1 and u >= 1):
+        raise ValueError("t and u must be at least 1")
+
+
 def compute_eta(rank, oversampling, t=1.0, u=1.0):
     """Quasi-optimality factor of one sketched projection step.
 
@@ -93,14 +98,14 @@ def compute_eta(rank, oversampling, t=1.0, u=1.0):
         raise ValueError("rank must be positive")
     if p < 4:
         raise ValueError("the bound requires oversampling >= 4")
-    if t < 1 or u < 1:
-        raise ValueError("t and u must be at least 1")
+    _check_t_u(t, u)
     return 1.0 + t * math.sqrt(12.0 * r / p) + u * t * _E * math.sqrt(r + p) / (p + 1)
 
 
 def success_probability(oversampling, t=1.0, u=1.0, steps=1):
     """Lower bound on the chance that all `steps` projections stay within eta."""
     p, steps = check_integers((oversampling, steps), "oversampling and steps")
+    _check_t_u(t, u)
     single = 1.0 - 5.0 * t ** (-p) - 2.0 * math.exp(-u * u / 2.0)
     return max(0.0, single) ** steps
 

@@ -12,7 +12,9 @@ samples run in.
 
 The studies are one table, `_STUDIES`: per study the defaults of unset
 fields, the swept field (setting it fixes a one-point grid), the default
-grid and the target builder.
+grid and the target builder.  The targets come from `generators`; the
+error studies pass the width r+p as an int, which the decompositions
+clip themselves.  Records are written as CSV, never read back.
 
   study               sweeps  targets
   noise               tau     exact rank-r* train plus scaled dense noise
@@ -20,7 +22,7 @@ grid and the target builder.
   oversampling-decay  p       polynomially decaying unfolding spectra
   order               d       noisy
   order-decay         d       decaying spectra
-  runtime             d       sparse, exactly nnz entries; times the
+  runtime             d       gaussian_sparse (exactly nnz entries); times the
                               sketch path (and the dense deterministic
                               path while the dense tensor stays small)
   als                 p       decaying spectra; rows tagged "als" hold the
@@ -36,14 +38,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 from .als import als_half_sweep
 from .decompose import randomized_tt_svd, relative_error, tt_svd_truncated
-from .generators import noisy_low_rank, random_tt_decay
+from .generators import gaussian_sparse, noisy_low_rank, random_tt_decay
 from .rng import RngStream
-from .tensor import SparseTensor, element_count
-from .tt import clip_ranks, tt_evaluate, tt_round
+from .tensor import element_count
+from .tt import tt_evaluate, tt_round
 
 NOISE_GRID = tuple(round(0.01 * i, 2) for i in range(11))
 OVERSAMPLING_GRID = (0, 1, 2, 3, 5, 8, 12, 17, 25)
@@ -164,11 +164,10 @@ def _error_sample(cfg, target, pipelines, param, sample_idx, stream):
     t_det = 1e3 * (time.perf_counter() - t0)
     eps_det = relative_error(x, y)
     del y
-    ranks = clip_ranks(x.shape, cfg.r + cfg.p)
     records = []
     for tag, method, sub in pipelines:
         t0 = time.perf_counter()
-        y = tt_round(method(x, ranks, stream.substream(sub))[0], cfg.r)
+        y = tt_round(method(x, cfg.r + cfg.p, stream.substream(sub))[0], cfg.r)
         t = 1e3 * (time.perf_counter() - t0)
         eps = relative_error(x, y)
         del y
@@ -179,29 +178,6 @@ def _error_sample(cfg, target, pipelines, param, sample_idx, stream):
             t_rnd_ms=t, t_det_ms=t_det,
         ))
     return records
-
-
-def _sparse_exact_count(shape, nnz, stream):
-    """Sparse Gaussian tensor with exactly nnz distinct positions.
-
-    The runtime study fixes the stored-entry count, and the sketch cost
-    is proportional to it, so colliding position draws are skipped and
-    redrawn (deterministically: the first nnz distinct index tuples of
-    the stream) instead of merged.
-    """
-    total = element_count(shape)
-    if not 0 < nnz <= total:
-        raise ValueError("entry count must be in [1, element count]")
-    want = nnz
-    while True:
-        rows = stream.substream(0).index_draws(want, shape)
-        _, first = np.unique(rows, axis=0, return_index=True)
-        if first.size >= nnz:
-            break
-        want *= 2
-    keep = rows[np.sort(first)[:nnz]]
-    values = stream.substream(1).normals(nnz)
-    return SparseTensor(shape, keep, values)
 
 
 def _median_ms(fn, *args):
@@ -218,7 +194,10 @@ def _median_ms(fn, *args):
 def _runtime_sample(cfg, param, sample_idx, stream):
     d = cfg.d
     shape = (cfg.n,) * d
-    xs = _sparse_exact_count(shape, cfg.nnz, stream.substream(0))
+    # gaussian_sparse also accepts 0 entries, which leave nothing to time.
+    if not 0 < cfg.nnz <= element_count(shape):
+        raise ValueError("entry count must be in [1, element count]")
+    xs = gaussian_sparse(shape, cfg.nnz, stream.substream(0))
     # The same requested width at every edge (no rank clipping).  The
     # widths reached still clamp near the right boundary (to 2, 4, 8, 16
     # for binary modes at width 20), so every order pays the same cheaper
@@ -286,34 +265,3 @@ def write_csv(records, fh):
     writer.writerow(CSV_COLUMNS)
     for rec in records:
         writer.writerow([_cell(getattr(rec, c)) for c in CSV_COLUMNS])
-
-
-def _num(tok):
-    return None if tok == "" else float(tok)
-
-
-# One parser per column; the unlisted ones are optional numbers.
-_PARSERS = dict(experiment=str, sample=int, seed=lambda t: int(float(t)),
-                param=float)
-
-
-def read_csv(fh):
-    """Read records written by write_csv (used by tests and tooling)."""
-    first = fh.readline().rstrip("\n")
-    if first != CSV_VERSION:
-        raise ValueError(f"unexpected csv version line {first!r}")
-    reader = csv.reader(fh)
-    header = tuple(next(reader))
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected csv header {header!r}")
-    records = []
-    for row in reader:
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(
-                f"csv line {reader.line_num + 1}: expected "
-                f"{len(CSV_COLUMNS)} cells, got {len(row)}"
-            )
-        records.append(SampleRecord(*(
-            _PARSERS.get(c, _num)(tok) for c, tok in zip(CSV_COLUMNS, row)
-        )))
-    return records

@@ -4,11 +4,16 @@ All generators are pure functions of their arguments and the given
 stream: they derive fixed substreams per constituent (substream i for
 core i, substream 0/1 for positions/values, and so on) instead of
 consuming shared state, so results are independent of call order.
+A fractional count or a NaN parameter raises ValueError.
 """
+
+import math
 
 import numpy as np
 
-from .tensor import SparseTensor, check_dense_size, check_shape, element_count
+from .tensor import (
+    SparseTensor, check_dense_size, check_integers, check_shape, element_count,
+)
 from .tt import (
     TTTensor, clip_ranks, core_shapes, left_unfold, right_unfold, tt_evaluate,
 )
@@ -23,26 +28,29 @@ def gaussian_dense(shape, rng):
 
 
 def gaussian_sparse(shape, nnz, rng):
-    """Sparse tensor with nnz uniform positions holding standard normals.
+    """Sparse tensor with exactly nnz uniform positions holding standard normals.
 
-    Positions are drawn independently and uniformly over the whole index
-    range (substream 0), values are standard normals (substream 1).  When
-    two draws hit the same position the later one wins, so the stored
-    entry count can be below nnz.
+    The positions are the first nnz distinct index tuples of substream 0's
+    uniform draws; the values are the first nnz normals of substream 1, in
+    draw order.  The stored entry count is fixed because the sketch cost is
+    proportional to it.  While too few draws are distinct, a batch twice as
+    large is drawn; draw i does not depend on the batch size, so the kept
+    positions do not either.
     """
     shape = check_shape(shape)
-    nnz = int(nnz)
+    (nnz,) = check_integers((nnz,), "entry count")
     total = element_count(shape)
     if nnz < 0 or nnz > total:
         raise ValueError(f"nnz must lie in [0, {total}], got {nnz}")
-    if nnz == 0:
-        return SparseTensor(shape, np.empty((0, len(shape)), dtype=np.int64), [])
-    idx = rng.substream(0).index_draws(nnz, shape)
-    values = rng.substream(1).normals(nnz)
-    # np.unique keeps the first occurrence; scan reversed to keep the last.
-    # Its rows come out in canonical order, which SparseTensor keeps.
-    rows, first_in_rev = np.unique(idx[::-1], axis=0, return_index=True)
-    return SparseTensor(shape, rows, values[nnz - 1 - first_in_rev])
+    want = nnz
+    while True:
+        rows = rng.substream(0).index_draws(want, shape)
+        _, first = np.unique(rows, axis=0, return_index=True)
+        if first.size >= nnz:
+            break
+        want *= 2
+    keep = rows[np.sort(first)[:nnz]]
+    return SparseTensor(shape, keep, rng.substream(1).normals(nnz))
 
 
 def random_tt(shape, ranks, rng):
@@ -58,11 +66,12 @@ def random_tt(shape, ranks, rng):
 
 def decay_values(count, exponent, cutoff):
     """The prescribed singular-value profile 1, 2^-e, ..., cutoff^-e, 0, ..."""
+    count, cutoff = check_integers((count, cutoff), "count and cutoff")
     if count < 1:
         raise ValueError("need at least one singular value")
     ks = np.arange(1, count + 1, dtype=np.float64)
     vals = ks ** (-float(exponent))
-    vals[int(cutoff):] = 0.0
+    vals[cutoff:] = 0.0
     return vals
 
 
@@ -77,7 +86,7 @@ def random_tt_decay(shape, ranks, decay_exponent, cutoff, rng):
     Edge ranks grow to the available rank of the pair, so the result is a
     genuinely high-rank tensor.
     """
-    if decay_exponent <= 0:
+    if not decay_exponent > 0:
         raise ValueError("decay exponent must be positive")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
@@ -98,8 +107,8 @@ def noisy_low_rank(shape, ranks, tau, rng):
     The exact part comes from substream 0, the noise direction from
     substream 1; tau = 0 returns the normalized exact tensor itself.
     """
-    if tau < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise ValueError("noise level must be finite and nonnegative")
     shape = check_shape(shape)
     check_dense_size(shape)
     x = tt_evaluate(random_tt(shape, ranks, rng.substream(0)))

@@ -22,14 +22,14 @@ class RngStream:
     __slots__ = ("seed", "key")
 
     def __init__(self, seed, _key=None):
-        self.seed = int(seed)
-        self.key = _kernels.key_from_seed(seed) if _key is None else int(_key)
+        (self.seed,) = check_integers((seed,), "seed")
+        self.key = _kernels.key_from_seed(self.seed) if _key is None else int(_key)
 
     def substream(self, *indices):
         """Derive an independent stream; indices must be nonnegative ints."""
         key = self.key
-        for idx in indices:
-            key = _kernels.derive_key(key, int(idx))
+        for idx in check_integers(indices, "substream indices"):
+            key = _kernels.derive_key(key, idx)
         return RngStream(self.seed, _key=key)
 
     def normals(self, shape):
@@ -44,6 +44,7 @@ class RngStream:
         Entry (i, k) consumes counter i*len(bounds)+k, so the draw order
         is row-major by entry.
         """
+        (count,) = check_integers((count,), "draw count")
         bounds = check_integers(bounds, "index bounds")
         if not all(1 <= b <= 2 ** 63 for b in bounds):
             raise ValueError(f"index bounds must lie in [1, 2**63], got {bounds}")

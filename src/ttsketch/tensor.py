@@ -69,7 +69,7 @@ def check_finite(x):
 
 
 def _check_modes(modes, d, what="mode set"):
-    modes = tuple(int(m) for m in modes)
+    modes = tuple(check_integers(modes, what))
     if len(modes) == 0:
         raise ValueError(f"{what} must be nonempty")
     if len(set(modes)) != len(modes):

@@ -91,14 +91,6 @@ def ref_normals_vec(key, counters):
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
-def ref_keep_last(idx):
-    """Row numbers of the last draw of each distinct index row, ascending."""
-    last = {}
-    for i, row in enumerate(idx):
-        last[tuple(int(v) for v in row)] = i
-    return sorted(last.values())
-
-
 def ref_first_distinct(rows, count):
     """The first `count` distinct rows in draw order, or None if fewer."""
     seen = set()

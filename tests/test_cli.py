@@ -1,11 +1,13 @@
 """Command line entry point, run in process."""
 
+import csv
+
 import numpy as np
 import pytest
 
-from ttsketch import RngStream, gaussian_sparse, random_tt, tt_evaluate
+from ttsketch import RngStream, SparseTensor, gaussian_sparse, random_tt, tt_evaluate
 from ttsketch.cli import main
-from ttsketch.experiments import read_csv
+from ttsketch.experiments import CSV_COLUMNS, CSV_VERSION
 from ttsketch.fileio import load_tt_file, save_dense, save_sparse
 
 
@@ -18,8 +20,10 @@ def test_run_writes_csv(tmp_path, capsys):
     ])
     assert code == 0
     with open(out) as fh:
-        records = read_csv(fh)
-    assert len(records) == 2
+        assert fh.readline() == CSV_VERSION + "\n"
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(CSV_COLUMNS)
+    assert len(rows) == 3 and all(len(row) == len(CSV_COLUMNS) for row in rows)
     assert capsys.readouterr().out == ""  # csv went to the file, not stdout
 
 
@@ -90,13 +94,38 @@ def test_unknown_experiment_rejected():
       "--rstar", "1"], "samples must be positive"),
     (["run", "runtime", "--d", "5"],
      r"entry count must be in \[1, element count\]"),
+    (["run", "runtime", "--nnz", "0"],
+     r"entry count must be in \[1, element count\]"),
+    (["run", "runtime", "--nnz", "5000", "--d", "10"],
+     r"entry count must be in \[1, element count\]"),
+    (["run", "noise", "--tau", "nan"], "noise level must be finite"),
+    (["run", "noise", "--tau", "inf"], "noise level must be finite"),
+    (["run", "order-decay", "--decay-exp", "nan", "--d", "4", "--samples", "1"],
+     "decay exponent must be positive"),
     (["decompose", "--input", "missing.txt", "--method", "det", "--r", "1"],
      "No such file or directory: 'missing.txt'"),
 ], ids=["run-p-negative", "run-samples-0", "run-nnz-above-size",
-        "decompose-missing-input"])
+        "run-nnz-0", "run-nnz-5000-d-10", "run-tau-nan", "run-tau-inf",
+        "run-decay-exp-nan", "decompose-missing-input"])
 def test_errors_end_in_one_line(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as info:
         main([*argv, "--out", "out.txt"])
     assert isinstance(info.value.code, str)  # a message, not a traceback
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["det", "rand"])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_decompose_order_one_is_one_line(tmp_path, kind, method):
+    src = tmp_path / "v.txt"
+    if kind == "dense":
+        save_dense(src, [1.0, 2.0, 3.0])
+    else:
+        save_sparse(src, SparseTensor((5,), [[1], [3]], [1.0, -2.0]))
+    dst = tmp_path / "v.tt"
+    with pytest.raises(SystemExit, match="decomposition needs order >= 2") as info:
+        main(["decompose", "--input", str(src), "--method", method,
+              "--r", "1", "--out", str(dst)])
+    assert isinstance(info.value.code, str)
+    assert not dst.exists()

@@ -8,10 +8,11 @@ import pytest
 import oracles as o
 from ttsketch import (
     OversamplingSpec, RngStream, SparseTensor, TTTensor, clip_ranks,
-    compute_eta, gaussian_dense, gaussian_sparse, random_tt, randomized_range,
-    randomized_tt_svd, relative_error, success_probability, tt_evaluate,
-    tt_norm, tt_svd_exact, tt_svd_truncated, zero_tt,
+    compute_eta, contract, gaussian_dense, gaussian_sparse, matricize, random_tt,
+    randomized_range, randomized_tt_svd, relative_error, success_probability,
+    tt_evaluate, tt_norm, tt_svd_exact, tt_svd_truncated, zero_tt,
 )
+from ttsketch.generators import decay_values
 from ttsketch.linalg import numerical_rank
 from ttsketch.tt import right_unfold
 
@@ -349,6 +350,14 @@ def test_fractional_counts_rejected():
         lambda: RngStream(0).normals((2.5, 1)),
         lambda: RngStream(0).normals(2.7),
         lambda: gaussian_dense((3, 2.5), RngStream(0)),
+        lambda: gaussian_sparse((4, 4), 2.5, RngStream(0)),
+        lambda: decay_values(4, 1.0, 2.5),
+        lambda: decay_values(4.5, 1.0, 2),
+        lambda: RngStream(0).index_draws(2.5, [3]),
+        lambda: RngStream(0).substream(1.5),
+        lambda: RngStream(2.5),
+        lambda: matricize(np.ones((2, 3)), (0.5,)),
+        lambda: contract(np.ones((2, 3)), (1.5,), np.ones((3, 2)), (0,)),
     ):
         with pytest.raises(ValueError, match="integers"):
             call()
@@ -357,6 +366,23 @@ def test_fractional_counts_rejected():
     assert compute_eta(10.0, np.int32(5)) == compute_eta(10, 5)
     assert success_probability(6.0, steps=2.0) == success_probability(6, steps=2)
     assert np.array_equal(RngStream(0).normals(3.0), RngStream(0).normals(3))
+    assert np.array_equal(decay_values(4.0, 1.0, np.int64(2)), decay_values(4, 1.0, 2))
+    assert np.array_equal(RngStream(0).index_draws(np.int64(2), [3]),
+                          RngStream(0).index_draws(2, [3]))
+    assert RngStream(0).substream(1.0).key == RngStream(0).substream(1).key
+    assert RngStream(np.int32(2)).key == RngStream(2.0).key == RngStream(2).key
+    assert np.array_equal(matricize(np.ones((2, 3)), (np.int64(1),)), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compute_eta(10, 5, t=math.nan),
+    lambda: compute_eta(10, 5, u=math.nan),
+    lambda: success_probability(5, t=math.nan),
+    lambda: success_probability(5, u=math.nan),
+], ids=["eta-t", "eta-u", "probability-t", "probability-u"])
+def test_eta_parameters_nan_rejected(call):
+    with pytest.raises(ValueError, match="t and u must be at least 1"):
+        call()
 
 
 def test_randomized_error_never_exceeds_norm():

@@ -1,5 +1,6 @@
 """Experiment driver: grids, determinism, CSV contract."""
 
+import csv
 import io
 
 import numpy as np
@@ -8,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from ttsketch import RngStream, SparseTensor
+from ttsketch import RngStream, SparseTensor, gaussian_sparse
 
 from ttsketch.experiments import (
     CSV_COLUMNS, CSV_VERSION, EXPERIMENT_NAMES, ExperimentConfig, NOISE_GRID,
-    ORDER_GRID,
-    OVERSAMPLING_GRID, RUNTIME_GRID, _sparse_exact_count, read_csv,
-    resolve_config, run_experiment, write_csv,
+    ORDER_GRID, OVERSAMPLING_GRID, RUNTIME_GRID, resolve_config, run_experiment,
+    write_csv,
 )
 
 TINY = dict(d=4, n=3, r_star=2, r=2, samples=2)
@@ -121,17 +121,16 @@ def test_workers_reproduce_serial_run():
 def test_csv_round_trip():
     cfg = ExperimentConfig("oversampling", p=2, seed=10, tau=0.05, **TINY)
     records = run_experiment(cfg)
-    text = _csv_text(records)
-    back = read_csv(io.StringIO(text))
-    assert len(back) == len(records)
-    for x, y in zip(records, back):
-        assert (x.experiment, x.sample, x.seed) == (y.experiment, y.sample, y.seed)
-        assert x.eps_det == y.eps_det and x.eps_rnd == y.eps_rnd
-    with pytest.raises(ValueError):
-        read_csv(io.StringIO("# wrong version\n"))
-    short = "\n".join(text.splitlines()[:2] + ["noise,0,10,2,0.5"]) + "\n"
-    with pytest.raises(ValueError, match="line 3: expected 9 cells, got 5"):
-        read_csv(io.StringIO(short))
+    lines = io.StringIO(_csv_text(records))
+    assert lines.readline() == CSV_VERSION + "\n"
+    rows = list(csv.reader(lines))
+    assert rows[0] == list(CSV_COLUMNS)
+    assert len(rows) == len(records) + 1
+    for rec, row in zip(records, rows[1:]):
+        assert row[:3] == [rec.experiment, str(rec.sample), str(rec.seed)]
+        # every float cell reads back to the value written
+        for name, cell in zip(CSV_COLUMNS[3:], row[3:]):
+            assert float(cell) == getattr(rec, name)
 
 
 def test_runtime_experiment_rows():
@@ -154,7 +153,7 @@ def test_runtime_experiment_rows():
 @settings(max_examples=30, deadline=None)
 def test_sparse_exact_count_matches_set_loop(shape, nnz, seed):
     stream = RngStream(seed)
-    xs = _sparse_exact_count(shape, nnz, stream)
+    xs = gaussian_sparse(shape, nnz, stream)
     want = nnz
     while (keep := o.ref_first_distinct(
             stream.substream(0).index_draws(want, shape), nnz)) is None:

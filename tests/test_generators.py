@@ -1,15 +1,11 @@
-"""Seeded tensor constructions: distributions, spectra, dedup semantics."""
+"""Seeded tensor constructions: distributions, spectra, entry counts."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
-import oracles as o
-
 from ttsketch import (
-    RngStream, SparseTensor, gaussian_dense, gaussian_sparse, noisy_low_rank, random_tt,
+    RngStream, gaussian_dense, gaussian_sparse, noisy_low_rank, random_tt,
     random_tt_decay, tt_evaluate, matricize,
 )
 from ttsketch.generators import decay_values
@@ -26,44 +22,9 @@ def test_gaussian_sparse_empty_and_full():
     empty = gaussian_sparse((2, 2), 0, RngStream(1))
     assert empty.nnz == 0
     full = gaussian_sparse((2, 2), 4, RngStream(1))
-    assert full.nnz <= 4  # collisions may reduce the stored count
+    assert full.nnz == 4  # colliding draws are skipped, never merged
     with pytest.raises(ValueError):
         gaussian_sparse((2, 2), 5, RngStream(1))
-
-
-def test_gaussian_sparse_keep_last_dedup():
-    # Reconstruct the draw sequence directly and apply last-wins by hand.
-    shape = (4, 4)
-    nnz = 16  # dense enough that collisions certainly happen
-    rng = RngStream(77)
-    idx = rng.substream(0).index_draws(nnz, shape)
-    values = rng.substream(1).normals(nnz)
-    want = {}
-    for i in range(nnz):
-        want[tuple(idx[i])] = values[i]
-    xs = gaussian_sparse(shape, nnz, rng)
-    assert xs.nnz == len(want)
-    got = {tuple(r): v for r, v in zip(xs.idx, xs.values)}
-    assert got == want
-
-
-@example((2,) * 40, 30, 1)
-@example((2,) * 80, 30, 2)
-@example((3, 2, 4), 24, 3)
-@given(st.sampled_from([(2,) * 40, (2,) * 80, (3, 2, 4), (5, 5)]),
-       st.integers(1, 24), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_gaussian_sparse_matches_dict_dedup(shape, nnz, seed):
-    # Below and above 2**62 elements the kept draws are those of the
-    # python-dict loop: the last draw of every distinct position.
-    rng = RngStream(seed)
-    idx = rng.substream(0).index_draws(nnz, shape)
-    values = rng.substream(1).normals(nnz)
-    keep = o.ref_keep_last(idx)
-    want = SparseTensor(shape, idx[keep], values[keep])
-    xs = gaussian_sparse(shape, nnz, rng)
-    assert np.array_equal(xs.idx, want.idx)
-    assert np.array_equal(xs.values, want.values)
 
 
 def test_gaussian_sparse_occupancy_uniform():
@@ -162,6 +123,12 @@ def test_decay_validation():
         random_tt_decay((4, 4), 2, 2.0, 0, rng)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4)])
+def test_decay_exponent_nan_rejected(shape):
+    with pytest.raises(ValueError, match="decay exponent must be positive"):
+        random_tt_decay(shape, 2, float("nan"), 250, RngStream(11))
+
+
 def test_noisy_low_rank_tau_zero():
     x = noisy_low_rank((3, 3, 3), 2, 0.0, RngStream(12))
     assert abs(np.linalg.norm(x.ravel()) - 1.0) < 1e-13
@@ -174,6 +141,12 @@ def test_noisy_low_rank_noise_norm_exact():
     assert abs(np.linalg.norm((x - x0).ravel()) - 0.1) < 1e-14
     with pytest.raises(ValueError):
         noisy_low_rank((3, 3, 3), 2, -0.1, rng)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_noisy_low_rank_rejects_nonfinite_tau(tau):
+    with pytest.raises(ValueError, match="noise level must be finite"):
+        noisy_low_rank((3, 3, 3), 2, tau, RngStream(13))
 
 
 def test_sparse_values_are_gaussian():

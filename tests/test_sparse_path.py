@@ -1,10 +1,12 @@
 """The sparse fast path must reproduce the dense path draw for draw."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttsketch import (
-    RngStream, SparseTensor, clip_ranks, gaussian_sparse, randomized_tt_svd,
-    relative_error, tt_norm,
+    RngStream, SparseTensor, clip_ranks, gaussian_dense, gaussian_sparse,
+    randomized_tt_svd, relative_error, tt_evaluate, tt_norm,
 )
 from ttsketch import _kernels as K
 from ttsketch.tt import right_unfold
@@ -32,6 +34,45 @@ def test_paths_agree_long_binary_train():
     shape = (2,) * 20
     sketch = clip_ranks(shape, 20)
     _paths_agree(shape, 500, sketch, seed=4)
+
+
+_SHAPE_AND_WIDTHS = st.lists(st.integers(1, 4), min_size=2, max_size=6).flatmap(
+    lambda shape: st.tuples(
+        st.just(tuple(shape)),
+        st.lists(st.integers(1, 6), min_size=len(shape) - 1,
+                 max_size=len(shape) - 1).map(tuple),
+    )
+)
+
+
+@given(_SHAPE_AND_WIDTHS, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_explicit_widths_clamp_at_the_right_boundary(shape_widths, seed):
+    # Explicit per-edge widths are not clipped; the widths reached are the
+    # rows of each RQ factor, which clamp from the right boundary inwards.
+    shape, widths = shape_widths
+    d = len(shape)
+    want = [0] * (d - 1)
+    r = 1
+    for j in range(d - 1, 0, -1):
+        r = min(widths[j - 1], shape[j] * r)
+        want[j - 1] = r
+    rng = RngStream(seed)
+    x = gaussian_dense(shape, rng.substream(0))
+    x[rng.substream(1).normals(shape) < 0] = 0.0
+    x.flat[0] = 1.0  # never the zero tensor
+    idx = np.argwhere(x)
+    xs = SparseTensor(shape, idx, x[tuple(idx.T)])
+    nx2 = float(np.sum(x ** 2))
+    for source in (x, xs):
+        t, _ = randomized_tt_svd(source, widths, rng.substream(2))
+        assert t.ranks == tuple(want)
+        for core in t.cores[1:]:
+            q = right_unfold(core)
+            assert np.max(np.abs(q @ q.T - np.eye(q.shape[0]))) < 1e-12
+        # an orthogonal projection: ||x||^2 = ||Px||^2 + ||x - Px||^2
+        y = tt_evaluate(t)
+        assert abs(nx2 - np.sum(y ** 2) - np.sum((x - y) ** 2)) <= 1e-10 * nx2
 
 
 def test_gamma_counters_match_dense_layout():
