@@ -10,6 +10,13 @@ holds the output plus a fixed few hundred kilobytes.  The integer and
 float operations per counter are the same, in the same order, as in a
 one-shot draw, so the values are bit-identical to the unchunked stream.
 
+The Box-Muller cosine cos(2 pi u) is taken as (1 - t^2) / (1 + t^2) at
+t = tan(pi u), because numpy's float64 tan runs a SIMD loop where its cos
+does not: a normal costs about half as much.  Every normal is within
+2e-15 of the np.cos form (4.4e-16 in the cosine, over 2.5e7 draws).  The
+last bits depend on numpy's tan dispatch, as they depended on libm's cos
+before.
+
 The sketch contractions take the stored entries sorted by their index in
 the current mode and run one matrix product per run of equal mode
 values, so a step costs O(N*s*t) in BLAS-3 calls for N entries, s sketch
@@ -38,7 +45,6 @@ _U32 = np.uint64(32)
 _U_LO = np.uint64(0xFFFFFFFF)
 _U1 = np.uint64(1)
 _TWO53_INV = float(2.0 ** -53)
-_TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +126,18 @@ def _normals_into(key, c, out):
     z += np.uint64((key + 2 * _PHI) & _MASK)
     _mix_into(z, scratch)
     z >>= _U11
-    u2 = scratch.view(np.float64)
-    np.multiply(z, _TWO53_INV, out=u2)
-    u2 *= _TWO_PI
-    np.cos(u2, out=u2)
-    out *= u2
+    # cos(2 pi u2) = (1 - t^2) / (1 + t^2) with t = tan(pi u2).  At
+    # u2 = 1/2, t = 1.6e16 and t^2 stays finite, so the cosine is -1.
+    t = scratch.view(np.float64)
+    np.multiply(z, _TWO53_INV, out=t)
+    t *= math.pi
+    np.tan(t, out=t)
+    t2 = z.view(np.float64)  # z is free once u2 is formed
+    np.multiply(t, t, out=t2)
+    np.subtract(1.0, t2, out=t)
+    t2 += 1.0
+    t /= t2
+    out *= t
 
 
 def indices_at(key, counters, bound):

@@ -105,6 +105,8 @@ def compute_eta(rank, oversampling, t=1.0, u=1.0):
 def success_probability(oversampling, t=1.0, u=1.0, steps=1):
     """Lower bound on the chance that all `steps` projections stay within eta."""
     p, steps = check_integers((oversampling, steps), "oversampling and steps")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     _check_t_u(t, u)
     single = 1.0 - 5.0 * t ** (-p) - 2.0 * math.exp(-u * u / 2.0)
     return max(0.0, single) ** steps

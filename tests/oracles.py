@@ -4,7 +4,9 @@ Everything here is deliberately written the slow, obvious way (explicit
 index loops, Gram-matrix eigenvalues via Jacobi rotations, python-int
 bit mixing) and shares no code with the package, so agreement between
 the two is meaningful.  The exceptions keep the package's arithmetic so
-that each can be compared bit for bit: ref_randomized_sparse changes only
+that each can be compared bit for bit: ref_normals_vec takes its cosine
+by the package's tan identity (ref_normals_cos_vec takes it by np.cos,
+to bound the distance between the two), ref_randomized_sparse changes only
 how the sketch rows are drawn, ref_draw_tail_cores right-orthogonalizes
 by hand with the package's RQ, and ref_orthogonalize_right and
 ref_tt_round are the train operations before their refolds became
@@ -67,13 +69,8 @@ def ref_normal(key, i):
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def ref_normals_vec(key, counters):
-    """Normals at the given counters in one vectorized pass.
-
-    The unchunked stream: every intermediate (both counter arrays, both
-    raw outputs, both uniforms) is built at full size, with the same
-    integer and float operations as ref_normal.
-    """
+def _ref_uniforms_vec(key, counters):
+    """Both Box-Muller uniforms at the given counters, as in ref_normal."""
     def values(c):
         z = np.uint64(key) + (c + np.uint64(1)) * np.uint64(_PHI)
         z ^= z >> np.uint64(30)
@@ -88,6 +85,26 @@ def ref_normals_vec(key, counters):
     v2 = values(c2 + np.uint64(1))
     u1 = ((v1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
     u2 = (v2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return u1, u2
+
+
+def ref_normals_vec(key, counters):
+    """Normals at the given counters in one vectorized pass.
+
+    The unchunked stream: every intermediate (both counter arrays, both
+    raw outputs, both uniforms) is built at full size, with the same
+    integer and float operations, in the same order, as the package's
+    chunked kernel: the cosine is (1 - t^2) / (1 + t^2) at t = tan(pi u2).
+    """
+    u1, u2 = _ref_uniforms_vec(key, counters)
+    t = np.tan(math.pi * u2)
+    t2 = t * t
+    return np.sqrt(-2.0 * np.log(u1)) * ((1.0 - t2) / (1.0 + t2))
+
+
+def ref_normals_cos_vec(key, counters):
+    """ref_normals_vec with the cosine taken by np.cos(2 pi u2) directly."""
+    u1, u2 = _ref_uniforms_vec(key, counters)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 

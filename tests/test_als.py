@@ -27,7 +27,13 @@ def test_exact_recovery_of_low_rank_target():
     x = tt_evaluate(random_tt((3, 4, 3, 4), 2, rng.substream(0)))
     t, obj = als_half_sweep(x, clip_ranks(x.shape, 2), rng.substream(1))
     f2 = float(np.sum(x**2))
-    assert obj[-1] <= 1e-20 * f2
+    # The objective is f2 - ||u||^2 with ||u|| = ||x|| in exact arithmetic.
+    # Both sums of squares are accurate to a few units of roundoff of f2
+    # (one dot over 144 entries; the three orthonormal projections that
+    # carry the target to the last core each keep its norm to a few eps),
+    # so the difference is roundoff, not zero: a small multiple of eps*f2.
+    # The worst over seeds 0..199 is 5 eps*f2; seed 82 gives 0.84 eps*f2.
+    assert obj[-1] <= 16 * np.finfo(np.float64).eps * f2
     assert relative_error(x, t) <= 1e-10
     assert t.ortho == "left"
     for core in t.cores[:-1]:

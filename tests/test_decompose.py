@@ -164,6 +164,13 @@ def test_success_probability():
     assert abs(success_probability(6, t=2.0, u=2.0) - single) < 1e-14
     assert abs(success_probability(6, t=2.0, u=2.0, steps=3) - single**3) < 1e-14
     assert success_probability(4, t=1.0, u=1.0) == 0.0  # clamped at zero
+    assert success_probability(4, steps=0) == 1.0  # no step can fail
+    # A negative count would give a bound above 1, or divide by zero once
+    # the single-step bound is clamped at zero.
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        success_probability(10, t=2.0, u=3.0, steps=-1)
+    with pytest.raises(ValueError, match="steps must be nonnegative"):
+        success_probability(4, steps=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Counter-based stream behavior: anchors and statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,42 @@ def test_sample_moments():
     draws = RngStream(123).normals(10**4)
     assert -0.05 < draws.mean() < 0.05
     assert 0.94 < draws.var() < 1.06
+
+
+def test_tan_cosine_matches_cos_form():
+    # The kernel takes cos(2 pi u2) as (1 - t^2)/(1 + t^2), t = tan(pi u2),
+    # from the same rounded argument as np.cos(2 pi u2).  Both cosines are
+    # within a few ulps of the true one, and the radius sqrt(-2 log u1) is
+    # below sqrt(106 log 2) < 8.6, so 1e-14 allows about 5 ulps of cosine
+    # disagreement.
+    n = 2 ** 20
+    ranges = ((KEY42, 0), (1, 3 ** 40), (2 ** 64 - 1, 2 ** 64 - n // 2))
+    for key, start in ranges:
+        # the last range wraps mod 2**64 halfway through
+        counters = np.uint64(start) + np.arange(n, dtype=np.uint64)
+        got = K.gammas_at(counters, 1, 0, np.uint64(key))[:, 0]
+        want = o.ref_normals_cos_vec(key, counters)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_moments_and_tails():
+    # Each window is 5 standard errors of its statistic for n standard
+    # normal draws: sqrt(1/n) for the mean, sqrt(2/n) for the variance,
+    # sqrt(24/n) for the kurtosis and sqrt(p (1 - p) / n) for a tail
+    # frequency p.
+    n = 2 ** 22
+    z = RngStream(2024).normals(n)
+    mean = z.mean()
+    centered = z - mean
+    var = np.mean(centered ** 2)
+    kurtosis = np.mean(centered ** 4) / var ** 2
+    assert abs(mean) < 5 * math.sqrt(1 / n)
+    assert abs(var - 1) < 5 * math.sqrt(2 / n)
+    assert abs(kurtosis - 3) < 5 * math.sqrt(24 / n)
+    for c in (3, 4):
+        p = math.erfc(c / math.sqrt(2))
+        freq = np.count_nonzero(np.abs(z) > c) / n
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n)
 
 
 def test_substreams_decorrelated():
