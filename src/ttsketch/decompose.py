@@ -26,6 +26,12 @@ entries per distinct index prefix (one column of g per occupied leading
 position, at most N of them) and the projection keeps one row per entry;
 both contractions are one matrix product per mode value, so the total
 cost grows linearly in the tensor order at fixed N and s.
+
+Every entry point takes a finite dense array (NaN or inf raises ValueError)
+or a SparseTensor, which the deterministic sweeps densify, of order >= 2.
+Once the method's own parameters pass, a zero input gets the rank-one zero
+train and a degenerate report without a sweep.  A report holds the ranks
+and the wall time, and for the deterministic sweeps the energy cut per edge.
 """
 
 import math
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 # svd is unused here but stays bound: perfbench's tracer test expects it.
-from .linalg import left_svd, numerical_rank, rq_row_orthonormal, svd  # noqa: F401
+from .linalg import left_svd, numerical_rank, qr, rq_row_orthonormal, svd  # noqa: F401
 from .tensor import (
     SparseTensor, check_finite, check_integers, element_count,
     first_differing_mode, norm,
@@ -121,45 +127,53 @@ def randomized_range(a, spec, rng):
     """
     _, n = a.shape
     g = rng.normals((spec.sketch_size, n)).T
-    b = a @ g
-    q, _ = np.linalg.qr(np.asarray(b, dtype=np.float64))
+    q, _ = qr(a @ g)
     return q
 
 
 def relative_error(x, t):
     """||x - evaluation of t|| / ||x|| for a dense reference tensor."""
     x = np.asarray(x, dtype=np.float64)
+    if t.shape != x.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {t.shape}")
     nx = norm(x)
     if nx == 0.0:
         raise ValueError("relative error is undefined against a zero tensor")
     y = tt_evaluate(t)
-    if y.shape != x.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.linalg.norm((x - y).ravel()) / nx)
 
 
-def _zero_result(shape, t0):
+def _admit(x):
+    """Dense input as float64 and a SparseTensor as it is, of order >= 2."""
+    if not isinstance(x, SparseTensor):
+        x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise ValueError("decomposition needs order >= 2")
+    return x
+
+
+def _decompose(x, sweep):
+    """Train and report of admitted x; sweep(x) gives (train, cut energies)."""
+    t0 = time.perf_counter()
+    sparse = isinstance(x, SparseTensor)
+    degenerate = not (x.nnz if sparse else x.any())
+    if not (degenerate or sparse):
+        check_finite(x)
+    result, discarded = (zero_tt(x.shape), ()) if degenerate else sweep(x)
     report = DecompositionReport(
-        ranks=(1,) * (len(shape) - 1),
-        wall_time_s=time.perf_counter() - t0,
-        degenerate=True,
+        result.ranks, tuple(discarded), time.perf_counter() - t0, degenerate
     )
-    return zero_tt(shape), report
+    return result, report
 
 
 # ---------------------------------------------------------------------------
 # deterministic sweep
 
 def _svd_sweep(x, pick_rank):
-    x = np.asarray(x, dtype=np.float64)
+    if isinstance(x, SparseTensor):
+        x = x.to_dense()
     shape = x.shape
     d = len(shape)
-    if d < 2:
-        raise ValueError("decomposition needs order >= 2")
-    t0 = time.perf_counter()
-    if not x.any():
-        return _zero_result(shape, t0)
-    check_finite(x)
     cores = []
     discarded = []
     cur = x.reshape(shape[0], -1)
@@ -179,13 +193,7 @@ def _svd_sweep(x, pick_rank):
             cur = rest
         r_prev = k
     cores.append(cur)
-    result = TTTensor(cores, ortho="left")
-    report = DecompositionReport(
-        ranks=result.ranks,
-        discarded_energy=tuple(discarded),
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return result, report
+    return TTTensor(cores, ortho="left"), discarded
 
 
 def tt_svd_exact(x, rel_tol=1e-12):
@@ -197,16 +205,16 @@ def tt_svd_exact(x, rel_tol=1e-12):
     """
     if not rel_tol >= 0:
         raise ValueError("relative tolerance must be nonnegative")
-    return _svd_sweep(x, lambda s, _i: numerical_rank(s, rel_tol))
+    return _decompose(
+        _admit(x), lambda x: _svd_sweep(x, lambda s, _i: numerical_rank(s, rel_tol))
+    )
 
 
 def tt_svd_truncated(x, target_ranks):
     """Train truncated to the target ranks by the deterministic sweep."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        raise ValueError("decomposition needs order >= 2")
+    x = _admit(x)
     target = clip_ranks(x.shape, target_ranks)
-    return _svd_sweep(x, lambda s, i: target[i])
+    return _decompose(x, lambda x: _svd_sweep(x, lambda s, i: target[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +348,11 @@ def randomized_tt_svd(x, sketch_ranks, rng):
     as long as the widths are feasible (within the clipped ranks).
     Wider sketches pad cores with arbitrary orthonormal directions that
     may differ between the paths; the represented tensor still agrees.
-
-    Dense input holding NaN or inf raises ValueError.  A zero input
-    gives the all-zero train with a degenerate report.
     """
-    t0 = time.perf_counter()
-    if not isinstance(x, SparseTensor):
-        x = np.asarray(x, dtype=np.float64)
-    shape = x.shape
-    if len(shape) < 2:
-        raise ValueError("decomposition needs order >= 2")
+    x = _admit(x)
     if np.isscalar(sketch_ranks):
-        sketch = clip_ranks(shape, sketch_ranks)
+        sketch = clip_ranks(x.shape, sketch_ranks)
     else:
-        sketch = tuple(integral_ranks(sketch_ranks, len(shape) - 1))
-    if isinstance(x, SparseTensor):
-        if x.nnz == 0:
-            return _zero_result(shape, t0)
-        result = _randomized_sparse(x, sketch, rng)
-    else:
-        if not x.any():
-            return _zero_result(shape, t0)
-        check_finite(x)
-        result = _randomized_dense(x, sketch, rng)
-    report = DecompositionReport(
-        ranks=result.ranks, wall_time_s=time.perf_counter() - t0
-    )
-    return result, report
+        sketch = tuple(integral_ranks(sketch_ranks, x.ndim - 1))
+    run = _randomized_sparse if isinstance(x, SparseTensor) else _randomized_dense
+    return _decompose(x, lambda x: (run(x, sketch, rng), ()))

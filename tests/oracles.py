@@ -334,10 +334,10 @@ def ref_svd_sweep(x, pick_rank):
     """Deterministic TT-SVD sweep with a full SVD of every unfolding."""
     import time
 
-    from ttsketch.decompose import DecompositionReport, _zero_result
+    from ttsketch.decompose import DecompositionReport
     from ttsketch.linalg import svd
     from ttsketch.tensor import check_finite
-    from ttsketch.tt import TTTensor
+    from ttsketch.tt import TTTensor, zero_tt
 
     x = np.asarray(x, dtype=np.float64)
     shape = x.shape
@@ -346,7 +346,12 @@ def ref_svd_sweep(x, pick_rank):
         raise ValueError("decomposition needs order >= 2")
     t0 = time.perf_counter()
     if not x.any():
-        return _zero_result(shape, t0)
+        report = DecompositionReport(
+            ranks=(1,) * (d - 1),
+            wall_time_s=time.perf_counter() - t0,
+            degenerate=True,
+        )
+        return zero_tt(shape), report
     check_finite(x)
     cores = []
     discarded = []

@@ -212,6 +212,17 @@ def test_range_finder_frobenius_bound_small_matrix():
     assert hits >= 90
 
 
+def test_range_finder_sign_convention():
+    # q comes from linalg.qr, so q.T @ (a @ g), the r factor, has a
+    # nonnegative diagonal like every other factor of the package.
+    a = RngStream(1).normals((20, 12))
+    spec = OversamplingSpec(4, 2)
+    q = randomized_range(a, spec, RngStream(2))
+    g = RngStream(2).normals((spec.sketch_size, 12)).T
+    assert q.shape == (20, 6)
+    assert np.all(np.diag(q.T @ (a @ g)) >= 0.0)
+
+
 def test_oversampling_spec_validation():
     with pytest.raises(ValueError):
         OversamplingSpec(0, 2)
@@ -435,6 +446,20 @@ def test_relative_error_trivials():
     assert abs(relative_error(x, zero_tt(x.shape)) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         relative_error(np.zeros((2, 2)), zero_tt((2, 2)))
+
+
+def test_relative_error_checks_shapes_before_evaluating(monkeypatch):
+    x = np.ones((3, 4, 5))
+    # 2**64 elements: no dense evaluation is even addressable
+    with pytest.raises(ValueError, match="shape mismatch"):
+        relative_error(x, zero_tt((2 ** 16,) * 4))
+    # 2**30 elements, 8 GB once evaluated: the mismatch must be found first
+    monkeypatch.setattr(
+        "ttsketch.decompose.tt_evaluate",
+        lambda t: pytest.fail("relative_error evaluated a mismatched train"),
+    )
+    with pytest.raises(ValueError, match="shape mismatch"):
+        relative_error(x, zero_tt((2 ** 10,) * 3))
 
 
 def test_relative_error_orthogonal_residual():
