@@ -28,7 +28,7 @@ from .generators import (
     random_tt_decay,
 )
 from .rng import RngStream
-from .tensor import SparseTensor, contract, matricize
+from .tensor import SparseTensor
 from .tt import (
     TTTensor,
     clip_ranks,
@@ -50,10 +50,8 @@ __all__ = [
     "als_half_sweep",
     "clip_ranks",
     "compute_eta",
-    "contract",
     "gaussian_dense",
     "gaussian_sparse",
-    "matricize",
     "noisy_low_rank",
     "orthogonalize_right",
     "random_tt",

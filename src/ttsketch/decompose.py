@@ -21,11 +21,14 @@ projector to the input.  Every Gaussian entry is a pure function of
 the sparse fast path materialize only the entries of g that meet stored
 data: identical seeds make both paths consume identical random values.
 
-For sparse input with N stored entries the sketch step draws s Gaussian
-entries per distinct index prefix (one column of g per occupied leading
-position, at most N of them) and the projection keeps one row per entry;
-both contractions are one matrix product per mode value, so the total
-cost grows linearly in the tensor order at fixed N and s.
+One loop (_sketch_sweep) runs the steps for both representations; the
+dense and sparse remainders differ only in their sketch, their projection
+and their first core.  For sparse input with N stored entries the sketch
+draws s Gaussian entries per distinct index prefix (one column of g per
+occupied leading position, at most N of them) and the remainder keeps one
+row per entry, entries with equal leading positions split, since their
+contributions add linearly; both contractions are one matrix product per
+mode value, so the cost grows linearly in the order at fixed N and s.
 
 Every entry point takes a finite dense array (NaN or inf raises ValueError)
 or a SparseTensor, which the deterministic sweeps densify, of order >= 2.
@@ -132,8 +135,8 @@ def randomized_range(a, spec, rng):
 
 
 def relative_error(x, t):
-    """||x - evaluation of t|| / ||x|| for a dense reference tensor."""
-    x = np.asarray(x, dtype=np.float64)
+    """||x - evaluation of t|| / ||x||; a SparseTensor x is densified."""
+    x = x.to_dense() if isinstance(x, SparseTensor) else np.asarray(x, dtype=np.float64)
     if t.shape != x.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {t.shape}")
     nx = norm(x)
@@ -220,33 +223,45 @@ def tt_svd_truncated(x, target_ranks):
 # ---------------------------------------------------------------------------
 # randomized sketch
 
-def _randomized_dense(x, sketch, rng):
-    shape = x.shape
-    d = len(shape)
+def _sketch_sweep(x, sketch, rng, remainder):
+    """Right-orthogonal train of x; remainder(x) is b in x's representation.
+
+    b gives its sketch(j, s, key), an (s, n_j * t) matrix, its projection
+    project(j, q) onto the rows of q and, after step 2, its first_core().
+    """
+    d = x.ndim
     cores = [None] * d
-    lead = element_count(shape[:-1])
-    b = x.reshape(lead, shape[-1])
-    t_dim = 1
+    b = remainder(x)
     for j in range(d, 1, -1):
-        n_j = shape[j - 1]
-        s_prev = sketch[j - 2]
-        key = rng.substream(j).key
+        _, q = rq_row_orthonormal(b.sketch(j, sketch[j - 2], rng.substream(j).key))
+        # q keeps min(s, n_j * t) rows: a sketch wider than the unfolding
+        # clamps to the feasible width near the right boundary.
+        cores[j - 1] = q if j == d else q.reshape(q.shape[0], x.shape[j - 1], -1)
+        b.project(j, q)
+    cores[0] = b.first_core()
+    return TTTensor(cores, ortho="right")
+
+
+class _DenseRemainder:
+    """b as a dense (leading positions, n_j * t) matrix."""
+
+    def __init__(self, x):
+        self.shape = x.shape
+        self.b = x.reshape(element_count(x.shape[:-1]), x.shape[-1])
+
+    def sketch(self, j, s, key):
         # The Gaussian block is freed by the product that consumes it, so
         # it never lives beside the next step's b: a step holds b, one
-        # draw of s_prev * lead normals and then b beside its projection.
-        a = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead) @ b
-        _, q = rq_row_orthonormal(a)
-        # q keeps min(s_prev, n_j * t_dim) rows: a sketch wider than the
-        # unfolding clamps to the feasible width near the right boundary.
-        t_next = q.shape[0]
-        cores[j - 1] = q if j == d else q.reshape(t_next, n_j, t_dim)
-        b = b @ q.T
-        if j > 2:
-            lead //= shape[j - 2]
-            b = b.reshape(lead, shape[j - 2] * t_next)
-        t_dim = t_next
-    cores[0] = b
-    return TTTensor(cores, ortho="right")
+        # draw of s * lead normals and then b beside its projection.
+        lead = self.b.shape[0]
+        return _kernels.standard_normals(key, s * lead).reshape(s, lead) @ self.b
+
+    def project(self, j, q):
+        b = self.b @ q.T
+        self.b = b.reshape(-1, self.shape[j - 2] * q.shape[0]) if j > 2 else b
+
+    def first_core(self):
+        return self.b
 
 
 def _prefix_codes(idx, shape):
@@ -265,68 +280,54 @@ def _prefix_codes(idx, shape):
     return codes
 
 
-def _randomized_sparse(xs, sketch, rng):
-    shape = xs.shape
-    d = len(shape)
-    heads = _prefix_codes(xs.idx, shape)
-    vals = xs.values[:, None]
-    cores = [None] * d
-    lead = element_count(shape)
-    t_dim = 1
-    # One row per stored entry throughout: entries whose leading positions
-    # coincide are kept split (their contributions add linearly at every
-    # stage), so the work per step is proportional to the entry count and
-    # the whole pass scales linearly in the order.  Each step reorders the
-    # rows by their index in the current mode; `order` maps rows to entries.
-    order = np.arange(xs.nnz)
-    # The Gaussian row of an entry depends on its prefix idx[:, :j-1] alone.
-    # The entries are in canonical order, so those sharing a prefix are
-    # adjacent: a new prefix starts wherever an entry first differs from
-    # the one before it in a mode below j-1.  Each step draws one row per
-    # distinct prefix and gathers it to the entries.  The runs come from the
-    # indices, not the codes, which wrap mod 2**64.
-    split = first_differing_mode(xs.idx)
-    for j in range(d, 1, -1):
-        n_j = shape[j - 1]
-        s_prev = sketch[j - 2]
-        lead //= n_j
-        mu = xs.idx[order, j - 1]
+class _SparseRemainder:
+    """b as one row of length t per stored entry, rows in the entries' `order`.
+
+    The Gaussian row of an entry depends on its prefix idx[:, :j-1] alone.
+    The entries are in canonical order, so those sharing a prefix are
+    adjacent: a new prefix starts wherever an entry first differs from the
+    one before it in a mode below j-1.  The runs come from the indices, not
+    the codes, which wrap mod 2**64.
+    """
+
+    def __init__(self, xs):
+        self.idx, self.shape = xs.idx, xs.shape
+        self.heads = _prefix_codes(xs.idx, xs.shape)
+        self.split = first_differing_mode(xs.idx)
+        self.vals = xs.values[:, None]
+        self.order = np.arange(xs.nnz)
+        self.lead = element_count(xs.shape)
+
+    def sketch(self, j, s, key):
+        n_j = self.shape[j - 1]
+        self.lead //= n_j
+        mu = self.idx[self.order, j - 1]
         # Stable, so the order is reproducible; a narrow key lets numpy
         # use its radix sort.
         by_mode = np.argsort(mu.astype(np.min_scalar_type(n_j - 1)), kind="stable")
-        order = order[by_mode]
-        mu = mu[by_mode]
-        vals = vals[by_mode]
-        key = rng.substream(j).key
-        new = split < j - 1  # split[0] == 0, so entry 0 starts a run
-        run = np.cumsum(new) - 1
-        # The rows drawn per prefix go to the sketch with the map from
-        # entries to prefixes, which gathers them one mode group at a time;
-        # they are freed before the update.  A step thus holds the projected
-        # rows, the rows per prefix and one group's gathered rows, then the
-        # projected rows beside the next ones.
+        self.order = self.order[by_mode]
+        self.mu = mu[by_mode]
+        self.vals = self.vals[by_mode]
+        new = self.split < j - 1  # split[0] == 0, so entry 0 starts a run
+        # One row per prefix, gathered to the entries one mode group at a
+        # time and freed on return: a step holds the projected rows, the
+        # rows per prefix and one group's gathered rows, then the projected
+        # rows beside the next ones.
         gam = _kernels.gammas_at(
-            heads[j - 1][new], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
+            self.heads[j - 1][new], s, np.uint64(self.lead % 2 ** 64), np.uint64(key)
         )
-        a_by_mode = _kernels.sparse_sketch(mu, vals, gam, run[order], n_j)
-        del gam
-        a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
-            s_prev, n_j * t_dim
-        )
-        _, q = rq_row_orthonormal(a)
-        t_next = q.shape[0]  # clamps to n_j * t_dim near the right boundary
-        cores[j - 1] = q if j == d else q.reshape(t_next, n_j, t_dim)
-        w_by_mode = np.ascontiguousarray(
-            q.reshape(t_next, n_j, t_dim).transpose(1, 0, 2)
-        )
-        vals = _kernels.sparse_update(mu, vals, w_by_mode)
-        t_dim = t_next
-    # bincount adds each column in entry order, as a scatter-add would.
-    first = xs.idx[order, 0]
-    cores[0] = np.column_stack(
-        [np.bincount(first, vals[:, c], shape[0]) for c in range(t_dim)]
-    )
-    return TTTensor(cores, ortho="right")
+        run = (np.cumsum(new) - 1)[self.order]
+        a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, n_j)
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(s, -1)
+
+    def project(self, j, q):
+        w = q.reshape(q.shape[0], self.shape[j - 1], -1).transpose(1, 0, 2)
+        self.vals = _kernels.sparse_update(self.mu, self.vals, np.ascontiguousarray(w))
+
+    def first_core(self):
+        # bincount adds each column in entry order, as a scatter-add would.
+        first, n_1 = self.idx[self.order, 0], self.shape[0]
+        return np.column_stack([np.bincount(first, v, n_1) for v in self.vals.T])
 
 
 def randomized_tt_svd(x, sketch_ranks, rng):
@@ -350,9 +351,7 @@ def randomized_tt_svd(x, sketch_ranks, rng):
     may differ between the paths; the represented tensor still agrees.
     """
     x = _admit(x)
-    if np.isscalar(sketch_ranks):
-        sketch = clip_ranks(x.shape, sketch_ranks)
-    else:
-        sketch = tuple(integral_ranks(sketch_ranks, x.ndim - 1))
-    run = _randomized_sparse if isinstance(x, SparseTensor) else _randomized_dense
-    return _decompose(x, lambda x: (run(x, sketch, rng), ()))
+    sketch = (clip_ranks(x.shape, sketch_ranks) if np.ndim(sketch_ranks) == 0
+              else integral_ranks(sketch_ranks, x.ndim - 1))
+    remainder = _SparseRemainder if isinstance(x, SparseTensor) else _DenseRemainder
+    return _decompose(x, lambda x: (_sketch_sweep(x, sketch, rng, remainder), ()))

@@ -37,7 +37,7 @@ class RngStream:
 
     def normals(self, shape):
         """Standard normal draws at counters 0..size-1, reshaped C-order."""
-        shape = check_integers((shape,) if np.isscalar(shape) else shape, "sizes")
+        shape = check_integers((shape,) if np.ndim(shape) == 0 else shape, "sizes")
         return _kernels.standard_normals(self.key, element_count(shape)).reshape(shape)
 
     def index_draws(self, count, bounds):

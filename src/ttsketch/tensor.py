@@ -1,9 +1,9 @@
-"""Dense and sparse tensors plus the mode-wise primitives built on them.
+"""Dense and sparse tensors and the checks on their shapes and entries.
 
 Dense tensors are plain numpy float64 arrays indexed 0-based.  The
 canonical linearization of a mode group is row-major (last index varies
-fastest), which matches numpy's C order, so matricization is a transpose
-followed by a reshape.
+fastest), which matches numpy's C order, so unfolding against the
+leading modes is a reshape.
 
 Sparse tensors store coordinates explicitly and may describe shapes whose
 dense element count would not be addressable; every densifying operation
@@ -66,66 +66,6 @@ def check_finite(x):
     """
     if not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("dense tensor entries must be finite")
-
-
-def _check_modes(modes, d, what="mode set"):
-    modes = tuple(check_integers(modes, what))
-    if len(modes) == 0:
-        raise ValueError(f"{what} must be nonempty")
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"{what} has repeated modes: {modes}")
-    if any(m < 0 or m >= d for m in modes):
-        raise ValueError(f"{what} {modes} out of range for order {d}")
-    return modes
-
-
-def matricize(x, row_modes):
-    """Unfold a dense tensor into a matrix.
-
-    `row_modes` (0-based, strictly increasing) index the modes mapped to
-    rows; the remaining modes, in their original order, map to columns.
-    Both groups are linearized row-major.
-    """
-    x = np.asarray(x)
-    d = x.ndim
-    row_modes = _check_modes(row_modes, d, "row mode set")
-    if any(a >= b for a, b in zip(row_modes, row_modes[1:])):
-        raise ValueError(f"row mode set must be strictly increasing, got {row_modes}")
-    col_modes = tuple(m for m in range(d) if m not in row_modes)
-    rows = element_count(x.shape[m] for m in row_modes)
-    cols = element_count(x.shape[m] for m in col_modes)
-    return x.transpose(row_modes + col_modes).reshape(rows, cols)
-
-
-def contract(x, x_modes, y, y_modes):
-    """Contract dense tensors over paired modes.
-
-    Pair k joins mode x_modes[k] of x with mode y_modes[k] of y; the
-    result carries the remaining modes of x followed by those of y, each
-    group in its original order.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    x_modes = _check_modes(x_modes, x.ndim, "x mode list")
-    y_modes = _check_modes(y_modes, y.ndim, "y mode list")
-    if len(x_modes) != len(y_modes):
-        raise ValueError("paired mode lists must have equal length")
-    for a, b in zip(x_modes, y_modes):
-        if x.shape[a] != y.shape[b]:
-            raise ValueError(
-                f"cannot contract mode {a} of shape {x.shape} with mode "
-                f"{b} of shape {y.shape}: sizes differ"
-            )
-    return np.tensordot(x, y, axes=(x_modes, y_modes))
-
-
-def inner(x, y):
-    """Frobenius inner product of two dense tensors of equal shape."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shapes {x.shape} and {y.shape} differ")
-    return float(np.dot(x.ravel(), y.ravel()))
 
 
 def norm(x):

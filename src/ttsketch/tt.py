@@ -73,7 +73,7 @@ def integral_ranks(ranks, edges):
     Python and numpy integers (and integral floats) pass; a fractional
     rank raises ValueError instead of being floored.
     """
-    ranks = [ranks] * edges if np.isscalar(ranks) else list(ranks)
+    ranks = [ranks] * edges if np.ndim(ranks) == 0 else list(ranks)
     if len(ranks) != edges:
         raise ValueError(f"expected {edges} ranks, got {len(ranks)}")
     ranks = check_integers(ranks, "ranks")

@@ -7,7 +7,8 @@ the two is meaningful.  The exceptions keep the package's arithmetic so
 that each can be compared bit for bit: ref_normals_vec takes its cosine
 by the package's tan identity (ref_normals_cos_vec takes it by np.cos,
 to bound the distance between the two), ref_randomized_sparse changes only
-how the sketch rows are drawn, ref_draw_tail_cores right-orthogonalizes
+how the sketch rows are drawn, ref_randomized_dense is the dense sweep in
+its own loop, kept word for word, ref_draw_tail_cores right-orthogonalizes
 by hand with the package's RQ, and ref_orthogonalize_right and
 ref_tt_round are the train operations before their refolds became
 reshapes, kept word for word.  ref_svd_sweep is the deterministic sweep
@@ -15,6 +16,9 @@ as it was before it took its steps from the R factor: one full SVD per
 unfolding, the remainder carried as s * vt, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
 kept word for word as the reference for the table that replaced it.
+matricize, contract and inner are the dense mode-wise helpers the tests
+unfold and contract with, checked against naive_matricize, naive_contract
+and naive_inner.
 peak_bytes is the allocation peak that the memory bounds measure.
 """
 
@@ -224,6 +228,47 @@ def ref_randomized_sparse(xs, sketch, rng):
     np.add.at(w1, xs.idx[order, 0], vals)
     cores[0] = w1
     return cores
+
+
+def ref_randomized_dense(x, sketch, rng):
+    """Train of the dense randomized sweep, as written in its own loop.
+
+    The dense sweep before the dense and sparse paths shared one loop,
+    kept word for word: the bit-identity test compares the package's
+    shared loop with it.  `x` is a float64 array, `sketch` one width per
+    edge.
+    """
+    from ttsketch import _kernels
+    from ttsketch.linalg import rq_row_orthonormal
+    from ttsketch.tensor import element_count
+    from ttsketch.tt import TTTensor
+
+    shape = x.shape
+    d = len(shape)
+    cores = [None] * d
+    lead = element_count(shape[:-1])
+    b = x.reshape(lead, shape[-1])
+    t_dim = 1
+    for j in range(d, 1, -1):
+        n_j = shape[j - 1]
+        s_prev = sketch[j - 2]
+        key = rng.substream(j).key
+        # The Gaussian block is freed by the product that consumes it, so
+        # it never lives beside the next step's b: a step holds b, one
+        # draw of s_prev * lead normals and then b beside its projection.
+        a = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead) @ b
+        _, q = rq_row_orthonormal(a)
+        # q keeps min(s_prev, n_j * t_dim) rows: a sketch wider than the
+        # unfolding clamps to the feasible width near the right boundary.
+        t_next = q.shape[0]
+        cores[j - 1] = q if j == d else q.reshape(t_next, n_j, t_dim)
+        b = b @ q.T
+        if j > 2:
+            lead //= shape[j - 2]
+            b = b.reshape(lead, shape[j - 2] * t_next)
+        t_dim = t_next
+    cores[0] = b
+    return TTTensor(cores, ortho="right")
 
 
 def ref_draw_tail_cores(shape, ranks, rng):
@@ -462,6 +507,73 @@ def ref_sparse_sketch(mu, vals, gam, n_j):
 def ref_sparse_update(mu, vals, w):
     """Per-entry product: row i is w[mu[i]] @ vals[i]."""
     return np.einsum("ikq,iq->ik", w[mu], vals)
+
+
+# The dense mode-wise helpers the tests unfold and contract with,
+# checked against the naive versions below.
+
+def _check_modes(modes, d, what="mode set"):
+    from ttsketch.tensor import check_integers
+
+    modes = tuple(check_integers(modes, what))
+    if len(modes) == 0:
+        raise ValueError(f"{what} must be nonempty")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"{what} has repeated modes: {modes}")
+    if any(m < 0 or m >= d for m in modes):
+        raise ValueError(f"{what} {modes} out of range for order {d}")
+    return modes
+
+
+def matricize(x, row_modes):
+    """Unfold a dense tensor into a matrix.
+
+    `row_modes` (0-based, strictly increasing) index the modes mapped to
+    rows; the remaining modes, in their original order, map to columns.
+    Both groups are linearized row-major.
+    """
+    from ttsketch.tensor import element_count
+
+    x = np.asarray(x)
+    d = x.ndim
+    row_modes = _check_modes(row_modes, d, "row mode set")
+    if any(a >= b for a, b in zip(row_modes, row_modes[1:])):
+        raise ValueError(f"row mode set must be strictly increasing, got {row_modes}")
+    col_modes = tuple(m for m in range(d) if m not in row_modes)
+    rows = element_count(x.shape[m] for m in row_modes)
+    cols = element_count(x.shape[m] for m in col_modes)
+    return x.transpose(row_modes + col_modes).reshape(rows, cols)
+
+
+def contract(x, x_modes, y, y_modes):
+    """Contract dense tensors over paired modes.
+
+    Pair k joins mode x_modes[k] of x with mode y_modes[k] of y; the
+    result carries the remaining modes of x followed by those of y, each
+    group in its original order.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    x_modes = _check_modes(x_modes, x.ndim, "x mode list")
+    y_modes = _check_modes(y_modes, y.ndim, "y mode list")
+    if len(x_modes) != len(y_modes):
+        raise ValueError("paired mode lists must have equal length")
+    for a, b in zip(x_modes, y_modes):
+        if x.shape[a] != y.shape[b]:
+            raise ValueError(
+                f"cannot contract mode {a} of shape {x.shape} with mode "
+                f"{b} of shape {y.shape}: sizes differ"
+            )
+    return np.tensordot(x, y, axes=(x_modes, y_modes))
+
+
+def inner(x, y):
+    """Frobenius inner product of two dense tensors of equal shape."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape != y.shape:
+        raise ValueError(f"shapes {x.shape} and {y.shape} differ")
+    return float(np.dot(x.ravel(), y.ravel()))
 
 
 def naive_matricize(x, row_modes):

@@ -15,15 +15,14 @@ from gates import (
     quadratic_chord_ratio,
 )
 from ttsketch import (
-    RngStream, als_half_sweep, clip_ranks, contract,
-    gaussian_dense, gaussian_sparse, matricize, random_tt, randomized_range,
+    RngStream, als_half_sweep, clip_ranks,
+    gaussian_dense, gaussian_sparse, random_tt, randomized_range,
     randomized_tt_svd, relative_error, tt_evaluate,
     tt_svd_truncated,
 )
 from ttsketch.decompose import OversamplingSpec, compute_eta
 from ttsketch.experiments import ExperimentConfig, run_experiment
 from ttsketch.linalg import svd
-from ttsketch.tensor import inner
 
 
 def _verdict(capsys, ok, label, detail):
@@ -69,7 +68,7 @@ def test_c02_deterministic_quasi_optimality(capsys):
         err = relative_error(x, t) * np.linalg.norm(x.ravel())
         tails = []
         for i in range(1, len(shape)):
-            s = np.linalg.svd(matricize(x, tuple(range(i))), compute_uv=False)
+            s = np.linalg.svd(o.matricize(x, tuple(range(i))), compute_uv=False)
             tails.append(math.sqrt(np.sum(s[ranks[i - 1]:] ** 2)))
         lower = max(tails) - 1e-10
         upper = math.sqrt(len(shape) - 1) * math.sqrt(sum(v**2 for v in tails)) + 1e-10
@@ -262,12 +261,12 @@ def test_c11_oracle_bundle(capsys):
     # nested-loop contraction
     x = rng.substream(0).normals((2, 3, 2))
     y = rng.substream(1).normals((3, 2, 2))
-    got = contract(x, (1, 2), y, (0, 2))
+    got = o.contract(x, (1, 2), y, (0, 2))
     checks.append(float(np.max(np.abs(got - o.naive_contract(x, [1, 2], y, [0, 2])))))
     # flatten-and-dot inner product
     u = rng.substream(2).normals((3, 3, 3))
     v = rng.substream(3).normals((3, 3, 3))
-    checks.append(abs(inner(u, v) - o.naive_inner(u, v)))
+    checks.append(abs(o.inner(u, v) - o.naive_inner(u, v)))
     # Gram-eigenvalue singular values
     a = rng.substream(4).normals((5, 3))
     checks.append(float(np.max(np.abs(svd(a)[1] - o.gram_singular_values(a)))))

@@ -8,7 +8,7 @@ import pytest
 import oracles as o
 from ttsketch import (
     OversamplingSpec, RngStream, SparseTensor, TTTensor, clip_ranks,
-    compute_eta, contract, gaussian_dense, gaussian_sparse, matricize, random_tt,
+    compute_eta, gaussian_dense, gaussian_sparse, random_tt,
     randomized_range, randomized_tt_svd, relative_error, success_probability,
     tt_evaluate, tt_norm, tt_svd_exact, tt_svd_truncated, zero_tt,
 )
@@ -349,10 +349,11 @@ def test_nan_relative_tolerance_rejected():
 ], ids=["truncated", "randomized"])
 def test_fractional_ranks_rejected(decompose):
     x = gaussian_dense((3, 4, 5), RngStream(75))
-    for ranks in (2.7, (2, 2.5), np.array([2.0, 1.5])):
+    for ranks in (2.7, (2, 2.5), np.array([2.0, 1.5]), np.array(2.5)):
         with pytest.raises(ValueError, match="integers"):
             decompose(x, ranks)
-    for ranks in (2, np.int64(2), (np.int32(2), 2), np.array([2, 2])):
+    # a 0-d array is one value, like a numpy scalar
+    for ranks in (2, np.int64(2), (np.int32(2), 2), np.array([2, 2]), np.array(2)):
         t, report = decompose(x, ranks)
         assert report.ranks == t.ranks == (2, 2)
 
@@ -367,6 +368,7 @@ def test_fractional_counts_rejected():
         lambda: success_probability(5, steps=1.5),
         lambda: RngStream(0).normals((2.5, 1)),
         lambda: RngStream(0).normals(2.7),
+        lambda: RngStream(0).normals(np.array(2.7)),
         lambda: gaussian_dense((3, 2.5), RngStream(0)),
         lambda: gaussian_sparse((4, 4), 2.5, RngStream(0)),
         lambda: decay_values(4, 1.0, 2.5),
@@ -374,8 +376,8 @@ def test_fractional_counts_rejected():
         lambda: RngStream(0).index_draws(2.5, [3]),
         lambda: RngStream(0).substream(1.5),
         lambda: RngStream(2.5),
-        lambda: matricize(np.ones((2, 3)), (0.5,)),
-        lambda: contract(np.ones((2, 3)), (1.5,), np.ones((3, 2)), (0,)),
+        lambda: o.matricize(np.ones((2, 3)), (0.5,)),
+        lambda: o.contract(np.ones((2, 3)), (1.5,), np.ones((3, 2)), (0,)),
     ):
         with pytest.raises(ValueError, match="integers"):
             call()
@@ -384,12 +386,13 @@ def test_fractional_counts_rejected():
     assert compute_eta(10.0, np.int32(5)) == compute_eta(10, 5)
     assert success_probability(6.0, steps=2.0) == success_probability(6, steps=2)
     assert np.array_equal(RngStream(0).normals(3.0), RngStream(0).normals(3))
+    assert np.array_equal(RngStream(0).normals(np.array(3)), RngStream(0).normals(3))
     assert np.array_equal(decay_values(4.0, 1.0, np.int64(2)), decay_values(4, 1.0, 2))
     assert np.array_equal(RngStream(0).index_draws(np.int64(2), [3]),
                           RngStream(0).index_draws(2, [3]))
     assert RngStream(0).substream(1.0).key == RngStream(0).substream(1).key
     assert RngStream(np.int32(2)).key == RngStream(2.0).key == RngStream(2).key
-    assert np.array_equal(matricize(np.ones((2, 3)), (np.int64(1),)), np.ones((3, 2)))
+    assert np.array_equal(o.matricize(np.ones((2, 3)), (np.int64(1),)), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("call", [
@@ -460,6 +463,17 @@ def test_relative_error_checks_shapes_before_evaluating(monkeypatch):
     )
     with pytest.raises(ValueError, match="shape mismatch"):
         relative_error(x, zero_tt((2 ** 10,) * 3))
+
+
+def test_relative_error_densifies_sparse_input():
+    xs = gaussian_sparse((3, 4, 5), 20, RngStream(73))
+    t, _ = randomized_tt_svd(xs, 2, RngStream(74))
+    assert relative_error(xs, t) == relative_error(xs.to_dense(), t)
+    # A sparse input past 2**40 elements raises the dense limit, like the
+    # deterministic sweeps, before anything is evaluated.
+    big = SparseTensor((2 ** 16,) * 4, [[0, 1, 2, 3]], [1.0])
+    with pytest.raises(ValueError, match="limit of 2\\*\\*40"):
+        relative_error(big, zero_tt(big.shape))
 
 
 def test_relative_error_orthogonal_residual():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles as o
 from ttsketch import (
     RngStream, gaussian_dense, gaussian_sparse, noisy_low_rank, random_tt,
-    random_tt_decay, tt_evaluate, matricize,
+    random_tt_decay, tt_evaluate,
 )
 from ttsketch.generators import decay_values
 
@@ -46,7 +47,7 @@ def test_random_tt_rank_one():
     t = random_tt((3, 3, 3), 1, RngStream(5))
     x = tt_evaluate(t)
     for i in range(1, 3):
-        m = matricize(x, tuple(range(i)))
+        m = o.matricize(x, tuple(range(i)))
         s = np.linalg.svd(m, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) == 1
 
@@ -58,7 +59,7 @@ def test_random_tt_reproducible_and_rank_two():
         assert np.array_equal(c1, c2)
     x = tt_evaluate(t1)
     for i in range(1, 4):
-        m = matricize(x, tuple(range(i)))
+        m = o.matricize(x, tuple(range(i)))
         s = np.linalg.svd(m, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) == 2
 
@@ -83,7 +84,7 @@ def test_decay_matrix_case_exact():
 def _mid_edge_slope(t):
     # log-log slope of the middle unfolding's singular values
     x = tt_evaluate(t)
-    m = matricize(x, (0, 1, 2))
+    m = o.matricize(x, (0, 1, 2))
     s = np.linalg.svd(m, compute_uv=False)
     s = s[s > s[0] * 1e-12]
     k = np.arange(1, len(s) + 1, dtype=float)
@@ -99,7 +100,7 @@ def test_decay_spectra_follow_profile():
     t = random_tt_decay((4,) * 6, 10, 2.0, 250, RngStream(10))
     x = tt_evaluate(t)
     for i in range(1, 6):
-        m = matricize(x, tuple(range(i)))
+        m = o.matricize(x, tuple(range(i)))
         s = np.linalg.svd(m, compute_uv=False)
         assert s[1] / s[0] < 0.3, (i, s[1] / s[0])
     assert -3.3 < _mid_edge_slope(t) < -2.0

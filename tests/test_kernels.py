@@ -1,5 +1,5 @@
-"""Chunked normals, grouped sparse kernels, uint64 prefix codes and the
-one-row-per-prefix Gaussian draw against oracles."""
+"""Chunked normals, grouped sparse kernels, uint64 prefix codes, the
+one-row-per-prefix Gaussian draw and the dense sweep against oracles."""
 
 from unittest import mock
 
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from ttsketch import RngStream, SparseTensor, randomized_tt_svd
+from ttsketch import RngStream, SparseTensor, clip_ranks, randomized_tt_svd
 from ttsketch import _kernels as K
 from ttsketch.decompose import _prefix_codes
 
@@ -299,6 +299,42 @@ def test_class_b_input_has_colliding_prefix_codes(d):
         randomized_tt_svd(x, 10, RngStream(0))
     assert heads == [prefixes[j - 1] for j in range(d, 1, -1)]
 
+
+# ---------------------------------------------------------------------------
+# One sweep loop: the dense cores bit for bit as the dense path's own loop
+
+@st.composite
+def dense_sweeps(draw):
+    """A dense input of order 2-7, an int or per-edge width, and a seed."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=7)))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(shape)
+    edges = len(shape) - 1
+    widths = draw(st.one_of(
+        st.integers(1, 30),
+        st.lists(st.integers(1, 30), min_size=edges, max_size=edges).map(tuple),
+    ))
+    return x, widths, draw(st.integers(0, 2 ** 16))
+
+
+# Per-edge widths above the clamp at both boundaries, an int width past
+# every dimension product, order 2 with a mode of size 1.
+@example((np.arange(1.0, 25.0).reshape(2, 3, 4), (30, 30), 1))
+@example((np.arange(1.0, 6.0).reshape(1, 5), 3, 2))
+@example((np.random.default_rng(3).standard_normal((2,) * 7), 100, 3))
+@given(dense_sweeps())
+@settings(max_examples=60, deadline=None)
+def test_dense_sweep_matches_its_own_loop(case):
+    x, widths, seed = case
+    t, _ = randomized_tt_svd(x, widths, RngStream(seed))
+    per_edge = clip_ranks(x.shape, widths) if isinstance(widths, int) else widths
+    want = o.ref_randomized_dense(x, per_edge, RngStream(seed))
+    assert len(t.cores) == len(want.cores)
+    for got, ref in zip(t.cores, want.cores):
+        assert _same_bits(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# What one sweep step holds
 
 def test_sparse_sweep_holds_no_per_level_arrays():
     # Live at once, beside the input: the prefix codes (d*N uint64), the

@@ -88,8 +88,9 @@ def test_clip_ranks_values():
         clip_ranks((2, 2, 2), (1,))
     # integral values of any type pass; fractions are not floored
     assert clip_ranks((2, 3, 2), np.int64(2)) == clip_ranks((2, 3, 2), 2.0) == (2, 2)
+    assert clip_ranks((3, 4, 5), np.array(2)) == (2, 2)
     assert clip_ranks((2, 3, 2), (np.int32(1), 9)) == (1, 2)
-    for ranks in (2.7, (1, 2.5), np.array([1.0, 0.5])):
+    for ranks in (2.7, (1, 2.5), np.array([1.0, 0.5]), np.array(2.5)):
         with pytest.raises(ValueError, match="integers"):
             clip_ranks((2, 3, 2), ranks)
 
