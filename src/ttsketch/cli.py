@@ -83,11 +83,12 @@ def _cmd_run(args):
 
 
 def _cmd_decompose(args):
-    x = load_tensor_file(args.input)
+    # Options first: a bad --r or --p costs no parse, even of a missing file.
     if args.r < 1:
         raise SystemExit("--r must be positive")
     if args.p < 0:
         raise SystemExit("--p must be nonnegative")
+    x = load_tensor_file(args.input)
     shape = x.shape
     t0 = time.perf_counter()
     if args.method == "det":

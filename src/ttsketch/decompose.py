@@ -30,6 +30,14 @@ row per entry, entries with equal leading positions split, since their
 contributions add linearly; both contractions are one matrix product per
 mode value, so the cost grows linearly in the order at fixed N and s.
 
+A step whose orthonormal factor would be square keeps every direction, so
+it only rotates the remainder: a sketch with at least as many rows as the
+unfolding has columns (the range finder's exact case; Halko, Martinsson &
+Tropp, SIAM Rev. 53, 2011, sec. 4), or a truncation target of at least the
+unfolding's rows where it has no more rows than columns.  Both sweeps make
+such a step an identity core and draw, multiply, factor and copy nothing;
+the exact sweep's ranks depend on the singular values, so it factors all.
+
 Every entry point takes a finite dense array (NaN or inf raises ValueError)
 or a SparseTensor, which the deterministic sweeps densify, of order >= 2.
 Once the method's own parameters pass, a zero input gets the rank-one zero
@@ -172,7 +180,8 @@ def _decompose(x, sweep):
 # ---------------------------------------------------------------------------
 # deterministic sweep
 
-def _svd_sweep(x, pick_rank):
+def _svd_sweep(x, target=None, rel_tol=0.0):
+    """Left-orthogonal train and cuts; edge i keeps target[i] or the rank at rel_tol."""
     if isinstance(x, SparseTensor):
         x = x.to_dense()
     shape = x.shape
@@ -182,20 +191,20 @@ def _svd_sweep(x, pick_rank):
     cur = x.reshape(shape[0], -1)
     r_prev = 1
     for i in range(d - 1):
-        u, s = left_svd(cur)
-        k = max(1, min(pick_rank(s, i), s.shape[0]))
-        discarded.append(float(np.sum(s[k:] ** 2)))
-        if i == 0:
-            cores.append(u[:, :k])
+        if target is not None and cur.shape[0] <= min(target[i], cur.shape[1]):
+            # The target keeps every row, so u would be square: the identity.
+            u, cut, rest = np.eye(cur.shape[0]), 0.0, cur
         else:
-            cores.append(u[:, :k].reshape(r_prev, shape[i], k))
-        rest = u[:, :k].T @ cur
-        if i < d - 2:
-            cur = rest.reshape(k * shape[i + 1], -1)
-        else:
-            cur = rest
+            u, s = left_svd(cur)
+            k = max(1, numerical_rank(s, rel_tol)) if target is None else target[i]
+            u, cut = u[:, :k], float(np.sum(s[k:] ** 2))
+            rest = u.T @ cur
+        k = u.shape[1]
+        discarded.append(cut)
+        cores.append(u if i == 0 else u.reshape(r_prev, shape[i], k))
+        cur = rest.reshape(k * shape[i + 1], -1) if i < d - 2 else rest
         r_prev = k
-    cores.append(cur)
+    cores.append(cur.copy())  # a view of x if every step was the identity
     return TTTensor(cores, ortho="left"), discarded
 
 
@@ -208,16 +217,14 @@ def tt_svd_exact(x, rel_tol=1e-12):
     """
     if not rel_tol >= 0:
         raise ValueError("relative tolerance must be nonnegative")
-    return _decompose(
-        _admit(x), lambda x: _svd_sweep(x, lambda s, _i: numerical_rank(s, rel_tol))
-    )
+    return _decompose(_admit(x), lambda x: _svd_sweep(x, rel_tol=rel_tol))
 
 
 def tt_svd_truncated(x, target_ranks):
     """Train truncated to the target ranks by the deterministic sweep."""
     x = _admit(x)
     target = clip_ranks(x.shape, target_ranks)
-    return _decompose(x, lambda x: _svd_sweep(x, lambda s, i: target[i]))
+    return _decompose(x, lambda x: _svd_sweep(x, target))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +239,16 @@ def _sketch_sweep(x, sketch, rng, remainder):
     d = x.ndim
     cores = [None] * d
     b = remainder(x)
+    t = 1
     for j in range(d, 1, -1):
-        _, q = rq_row_orthonormal(b.sketch(j, sketch[j - 2], rng.substream(j).key))
-        # q keeps min(s, n_j * t) rows: a sketch wider than the unfolding
-        # clamps to the feasible width near the right boundary.
-        cores[j - 1] = q if j == d else q.reshape(q.shape[0], x.shape[j - 1], -1)
+        n_j = x.shape[j - 1]
+        # q keeps min(s, n_j * t) rows; a sketch covering the n_j * t columns
+        # would make it square (b q^T q = b): the identity step, q None.
+        q = None if sketch[j - 2] >= n_j * t else rq_row_orthonormal(
+            b.sketch(j, sketch[j - 2], rng.substream(j).key))[1]
+        core = np.eye(n_j * t) if q is None else q
+        cores[j - 1] = core if j == d else core.reshape(-1, n_j, t)
+        t = core.shape[0]
         b.project(j, q)
     cores[0] = b.first_core()
     return TTTensor(cores, ortho="right")
@@ -257,11 +269,11 @@ class _DenseRemainder:
         return _kernels.standard_normals(key, s * lead).reshape(s, lead) @ self.b
 
     def project(self, j, q):
-        b = self.b @ q.T
-        self.b = b.reshape(-1, self.shape[j - 2] * q.shape[0]) if j > 2 else b
+        b = self.b if q is None else self.b @ q.T
+        self.b = b.reshape(-1, self.shape[j - 2] * b.shape[1]) if j > 2 else b
 
     def first_core(self):
-        return self.b
+        return self.b.copy()  # a view of x if every step was the identity
 
 
 def _prefix_codes(idx, shape):
@@ -297,17 +309,20 @@ class _SparseRemainder:
         self.vals = xs.values[:, None]
         self.order = np.arange(xs.nnz)
         self.lead = element_count(xs.shape)
+        self._sort(xs.ndim)
 
-    def sketch(self, j, s, key):
+    def _sort(self, j):
+        # Rows by mode j for step j; stable, so the order is reproducible,
+        # and a narrow key lets numpy use its radix sort.
         n_j = self.shape[j - 1]
         self.lead //= n_j
         mu = self.idx[self.order, j - 1]
-        # Stable, so the order is reproducible; a narrow key lets numpy
-        # use its radix sort.
         by_mode = np.argsort(mu.astype(np.min_scalar_type(n_j - 1)), kind="stable")
         self.order = self.order[by_mode]
         self.mu = mu[by_mode]
         self.vals = self.vals[by_mode]
+
+    def sketch(self, j, s, key):
         new = self.split < j - 1  # split[0] == 0, so entry 0 starts a run
         # One row per prefix, gathered to the entries one mode group at a
         # time and freed on return: a step holds the projected rows, the
@@ -317,12 +332,16 @@ class _SparseRemainder:
             self.heads[j - 1][new], s, np.uint64(self.lead % 2 ** 64), np.uint64(key)
         )
         run = (np.cumsum(new) - 1)[self.order]
-        a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, n_j)
+        a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, self.shape[j - 1])
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(s, -1)
 
     def project(self, j, q):
-        w = q.reshape(q.shape[0], self.shape[j - 1], -1).transpose(1, 0, 2)
+        n_j = self.shape[j - 1]
+        q = np.eye(n_j * self.vals.shape[1]) if q is None else q
+        w = q.reshape(q.shape[0], n_j, -1).transpose(1, 0, 2)
         self.vals = _kernels.sparse_update(self.mu, self.vals, np.ascontiguousarray(w))
+        if j > 2:
+            self._sort(j - 1)
 
     def first_core(self):
         # bincount adds each column in entry order, as a scatter-add would.

@@ -198,12 +198,12 @@ def _runtime_sample(cfg, param, sample_idx, stream):
     if not 0 < cfg.nnz <= element_count(shape):
         raise ValueError("entry count must be in [1, element count]")
     xs = gaussian_sparse(shape, cfg.nnz, stream.substream(0))
-    # The same requested width at every edge (no rank clipping).  The
-    # widths reached still clamp near the right boundary (to 2, 4, 8, 16
-    # for binary modes at width 20), so every order pays the same cheaper
-    # ramp there and a full-width cost per interior step: the time is
-    # affine in the order.  Clipping the request would narrow the left
-    # edges too and make the small-order points cheaper still.
+    # The same requested width at every edge (no rank clipping).  The last
+    # four steps are identity steps (width 20 covers the 2, 4, 8 and 16
+    # columns of binary modes), so every order pays the same cheap ramp
+    # there and a full-width cost per interior step: the time is affine in
+    # the order.  Clipping the request would narrow the left edges too and
+    # make the small-order points cheaper still.
     sketch = (cfg.r + cfg.p,) * (d - 1)
     t_rnd = _median_ms(randomized_tt_svd, xs, sketch, stream.substream(1))
     t_det = None

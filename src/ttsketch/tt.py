@@ -161,13 +161,13 @@ def tt_norm(t):
 def tt_round(t, target_ranks):
     """Truncate a train to the target ranks.
 
-    Right-orthogonalizes first, then runs one left-to-right sweep of
-    rank-truncated SVDs, so each local cut is taken against an
-    orthonormal environment.  The result is left-orthogonal with ranks
-    min(target, input rank) per edge.
+    Right-orthogonalizes first, unless the train already is, then runs one
+    left-to-right sweep of rank-truncated SVDs, so each local cut is taken
+    against an orthonormal environment.  The result is left-orthogonal with
+    ranks min(target, input rank) per edge, and holds new arrays only.
     """
     target = clip_ranks(t.shape, target_ranks)
-    cores = orthogonalize_right(t).cores
+    cores = list(t.cores) if t.ortho == "right" else orthogonalize_right(t).cores
     for i in range(len(cores) - 1):
         core, nxt = cores[i], cores[i + 1]
         u, s, vt, _ = truncated_svd(left_unfold(core), target[i])

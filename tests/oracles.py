@@ -8,10 +8,12 @@ that each can be compared bit for bit: ref_normals_vec takes its cosine
 by the package's tan identity (ref_normals_cos_vec takes it by np.cos,
 to bound the distance between the two), ref_randomized_sparse changes only
 how the sketch rows are drawn, ref_randomized_dense is the dense sweep in
-its own loop, kept word for word, ref_draw_tail_cores right-orthogonalizes
-by hand with the package's RQ, and ref_orthogonalize_right and
-ref_tt_round are the train operations before their refolds became
-reshapes, kept word for word.  ref_svd_sweep is the deterministic sweep
+its own loop, kept word for word but for its identity steps (both keep,
+with draw_all, the sweep that draws at every step),
+ref_draw_tail_cores right-orthogonalizes by hand with the package's RQ,
+and ref_orthogonalize_right and ref_tt_round are the train operations
+before their refolds became reshapes, kept word for word but for
+ref_tt_round trusting a right-orthogonal train.  ref_svd_sweep is the deterministic sweep
 as it was before it took its steps from the R factor: one full SVD per
 unfolding, the remainder carried as s * vt, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
@@ -174,7 +176,7 @@ def ref_step_heads(idx, shape):
         yield j, mu, heads, space % 2 ** 64
 
 
-def ref_randomized_sparse(xs, sketch, rng):
+def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
     """Cores of the sparse randomized sweep, drawing one row per entry.
 
     The per-entry draw: every step asks gammas_at for the Gaussian row of
@@ -183,7 +185,9 @@ def ref_randomized_sparse(xs, sketch, rng):
     with it, so unlike the rest of this module it runs the package's own
     kernels, RQ and prefix codes: only the draw (each entry maps to its own
     row) and the first core's scatter-add (np.add.at here) may differ.
-    `sketch` is one width per edge.
+    `sketch` is one width per edge.  A step whose width covers its n_j * t
+    columns is the identity and draws nothing; with draw_all it draws and
+    factors anyway, as the sweep did before it had identity steps.
     """
     from ttsketch import _kernels as K
     from ttsketch.decompose import _prefix_codes
@@ -208,15 +212,18 @@ def ref_randomized_sparse(xs, sketch, rng):
         order = order[by_mode]
         mu = mu[by_mode]
         vals = vals[by_mode]
-        key = rng.substream(j).key
-        gam = K.gammas_at(
-            heads[j - 1][order], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
-        )
-        a_by_mode = K.sparse_sketch(mu, vals, gam, np.arange(len(mu)), n_j)
-        a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
-            s_prev, n_j * t_dim
-        )
-        _, q = rq_row_orthonormal(a)
+        if s_prev >= n_j * t_dim and not draw_all:
+            q = np.eye(n_j * t_dim)
+        else:
+            key = rng.substream(j).key
+            gam = K.gammas_at(
+                heads[j - 1][order], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
+            )
+            a_by_mode = K.sparse_sketch(mu, vals, gam, np.arange(len(mu)), n_j)
+            a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
+                s_prev, n_j * t_dim
+            )
+            _, q = rq_row_orthonormal(a)
         t_next = q.shape[0]
         cores[j - 1] = q if j == d else q.reshape(t_next, n_j, t_dim)
         w_by_mode = np.ascontiguousarray(
@@ -230,13 +237,16 @@ def ref_randomized_sparse(xs, sketch, rng):
     return cores
 
 
-def ref_randomized_dense(x, sketch, rng):
+def ref_randomized_dense(x, sketch, rng, draw_all=False):
     """Train of the dense randomized sweep, as written in its own loop.
 
     The dense sweep before the dense and sparse paths shared one loop,
-    kept word for word: the bit-identity test compares the package's
-    shared loop with it.  `x` is a float64 array, `sketch` one width per
-    edge.
+    kept word for word but for its identity steps: the bit-identity test
+    compares the package's shared loop with it.  `x` is a float64 array,
+    `sketch` one width per edge.  A step whose width covers its n_j * t
+    columns keeps eye(n_j * t) as its core and b as it is; with draw_all
+    it draws, factors and projects anyway, as the sweep did before it had
+    identity steps.
     """
     from ttsketch import _kernels
     from ttsketch.linalg import rq_row_orthonormal
@@ -252,17 +262,21 @@ def ref_randomized_dense(x, sketch, rng):
     for j in range(d, 1, -1):
         n_j = shape[j - 1]
         s_prev = sketch[j - 2]
-        key = rng.substream(j).key
-        # The Gaussian block is freed by the product that consumes it, so
-        # it never lives beside the next step's b: a step holds b, one
-        # draw of s_prev * lead normals and then b beside its projection.
-        a = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead) @ b
-        _, q = rq_row_orthonormal(a)
-        # q keeps min(s_prev, n_j * t_dim) rows: a sketch wider than the
-        # unfolding clamps to the feasible width near the right boundary.
-        t_next = q.shape[0]
+        if s_prev >= n_j * t_dim and not draw_all:
+            t_next = n_j * t_dim
+            q = np.eye(t_next)
+        else:
+            key = rng.substream(j).key
+            # The Gaussian block is freed by the product that consumes it, so
+            # it never lives beside the next step's b: a step holds b, one
+            # draw of s_prev * lead normals and then b beside its projection.
+            a = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead) @ b
+            _, q = rq_row_orthonormal(a)
+            # q keeps min(s_prev, n_j * t_dim) rows: a sketch wider than the
+            # unfolding clamps to the feasible width near the right boundary.
+            t_next = q.shape[0]
+            b = b @ q.T
         cores[j - 1] = q if j == d else q.reshape(t_next, n_j, t_dim)
-        b = b @ q.T
         if j > 2:
             lead //= shape[j - 2]
             b = b.reshape(lead, shape[j - 2] * t_next)
@@ -353,17 +367,17 @@ def ref_orthogonalize_right(t):
 def ref_tt_round(t, target_ranks):
     """Truncate a train to the target ranks.
 
-    Right-orthogonalizes first, then runs one left-to-right sweep of
-    rank-truncated SVDs, so each local cut is taken against an
-    orthonormal environment.  The result is left-orthogonal with ranks
-    min(target, input rank) per edge.
+    Right-orthogonalizes first, unless the train already is, then runs one
+    left-to-right sweep of rank-truncated SVDs, so each local cut is taken
+    against an orthonormal environment.  The result is left-orthogonal with
+    ranks min(target, input rank) per edge.
     """
     from ttsketch.linalg import truncated_svd
     from ttsketch.tt import TTTensor, clip_ranks
 
     target = clip_ranks(t.shape, target_ranks)
-    work = ref_orthogonalize_right(t)
-    cores = work.cores
+    work = t if t.ortho == "right" else ref_orthogonalize_right(t)
+    cores = list(work.cores)
     d = len(cores)
     for i in range(d - 1):
         mat = ref_left_unfold(cores[i])

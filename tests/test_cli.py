@@ -104,9 +104,12 @@ def test_unknown_experiment_rejected():
      "decay exponent must be positive"),
     (["decompose", "--input", "missing.txt", "--method", "det", "--r", "1"],
      "No such file or directory: 'missing.txt'"),
+    (["decompose", "--input", "missing.txt", "--method", "rand", "--r", "0"],
+     "--r must be positive"),
 ], ids=["run-p-negative", "run-samples-0", "run-nnz-above-size",
         "run-nnz-0", "run-nnz-5000-d-10", "run-tau-nan", "run-tau-inf",
-        "run-decay-exp-nan", "decompose-missing-input"])
+        "run-decay-exp-nan", "decompose-missing-input",
+        "decompose-missing-input-r-0"])
 def test_errors_end_in_one_line(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as info:

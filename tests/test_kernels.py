@@ -9,7 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from ttsketch import RngStream, SparseTensor, clip_ranks, randomized_tt_svd
+from ttsketch import (
+    RngStream, SparseTensor, TTTensor, clip_ranks, decompose, randomized_tt_svd,
+    tt_evaluate, tt_svd_truncated,
+)
 from ttsketch import _kernels as K
 from ttsketch.decompose import _prefix_codes
 
@@ -172,12 +175,27 @@ def _suffix_order(idx, j):
     return np.lexsort(idx[:, j - 1:].T[::-1])
 
 
+def _drawing_steps(shape, widths):
+    """The steps j = d..2 whose width is below their n_j * t columns.
+
+    Every other step is the identity: its width covers the unfolding, so it
+    keeps all n_j * t directions and draws nothing.
+    """
+    t, steps = 1, []
+    for j in range(len(shape), 1, -1):
+        cols = shape[j - 1] * t
+        if widths[j - 2] < cols:
+            steps.append(j)
+        t = min(widths[j - 2], cols)
+    return steps
+
+
 @given(long_sparse(), st.integers(0, 2 ** 16))
 @settings(max_examples=25, deadline=None)
 def test_sketch_gaussians_match_python_int_path(x, seed):
     # The Gaussian row that each stored entry meets in the sketch is the one
-    # the python-int counters give, bit for bit, and every step draws one
-    # row per distinct index prefix.
+    # the python-int counters give, bit for bit, and every drawing step
+    # draws one row per distinct index prefix.
     drawn = []
     sketched = []
     gammas_at = K.gammas_at
@@ -194,7 +212,8 @@ def test_sketch_gaussians_match_python_int_path(x, seed):
     with mock.patch.object(K, "gammas_at", spy_gammas), \
             mock.patch.object(K, "sparse_sketch", spy_sketch):
         randomized_tt_svd(x, (2,) * (x.ndim - 1), RngStream(seed))
-    steps = list(o.ref_step_heads(x.idx, x.shape))
+    drawing = _drawing_steps(x.shape, (2,) * (x.ndim - 1))
+    steps = [step for step in o.ref_step_heads(x.idx, x.shape) if step[0] in drawing]
     assert len(drawn) == len(sketched) == len(steps)
     for (n_heads, key), (mu, gam), (j, ref_mu, ref_heads, ref_p) in zip(
             drawn, sketched, steps):
@@ -297,7 +316,8 @@ def test_class_b_input_has_colliding_prefix_codes(d):
 
     with mock.patch.object(K, "gammas_at", spy):
         randomized_tt_svd(x, 10, RngStream(0))
-    assert heads == [prefixes[j - 1] for j in range(d, 1, -1)]
+    drawing = _drawing_steps(x.shape, clip_ranks(x.shape, 10))
+    assert heads == [prefixes[j - 1] for j in drawing]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +351,98 @@ def test_dense_sweep_matches_its_own_loop(case):
     assert len(t.cores) == len(want.cores)
     for got, ref in zip(t.cores, want.cores):
         assert _same_bits(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# Identity steps: the same tensor as drawing at every step, and no work
+
+@given(st.one_of(dense_sweeps(), st.tuples(shared_prefix_sparse(), st.data())))
+@settings(max_examples=60, deadline=None)
+def test_identity_steps_represent_the_draw_every_step_tensor(case):
+    # An identity step keeps the whole row space, as the square orthogonal q
+    # of a draw would: the train moves by an orthogonal gauge only, so the
+    # ranks agree and the tensors agree to roundoff.
+    if isinstance(case[0], SparseTensor):
+        x, data = case
+        widths = tuple(data.draw(st.lists(st.integers(1, 30), min_size=x.ndim - 1,
+                                          max_size=x.ndim - 1)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        want = TTTensor(o.ref_randomized_sparse(x, widths, RngStream(seed), draw_all=True))
+    else:
+        x, widths, seed = case
+        per_edge = clip_ranks(x.shape, widths) if isinstance(widths, int) else widths
+        want = o.ref_randomized_dense(x, per_edge, RngStream(seed), draw_all=True)
+    t, _ = randomized_tt_svd(x, widths, RngStream(seed))
+    assert t.ranks == want.ranks
+    y = tt_evaluate(want)
+    assert np.linalg.norm(tt_evaluate(t) - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def _calls(module, name, log, record):
+    """Patch module.name by a spy that appends record(*args) to log."""
+    fn = getattr(module, name)
+
+    def spy(*args):
+        log.append(record(*args))
+        return fn(*args)
+
+    return mock.patch.object(module, name, spy)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_identity_steps_draw_and_factor_nothing(sparse):
+    # Widths (2, 9, 5, 3) against the columns n_j * t of steps 5..2: 3 >= 2
+    # and 5 >= 4 make steps 5 and 4 the identity; 9 < 16 and 2 < 18 make
+    # steps 3 and 2 draw and factor.
+    shape, widths = (3, 2, 4, 2, 2), (2, 9, 5, 3)
+    x = np.random.default_rng(1).standard_normal(shape)
+    if sparse:
+        x = SparseTensor(shape, np.argwhere(x), x[x != 0])
+    drawing = _drawing_steps(shape, widths)
+    assert drawing == [3, 2]
+    keys = {RngStream(4).substream(j).key: j for j in range(2, len(shape) + 1)}
+    drawn, factored = [], []
+    with _calls(K, "standard_normals", drawn, lambda key, count: keys[int(key)]), \
+            _calls(K, "gammas_at", drawn, lambda heads, s, p, key: keys[int(key)]), \
+            _calls(decompose, "rq_row_orthonormal", factored, lambda a: a.shape):
+        t, _ = randomized_tt_svd(x, widths, RngStream(4))
+    assert drawn == drawing
+    assert factored == [(9, 4 * 4), (2, 2 * 9)]
+    assert t.ranks == (2, 9, 4, 2)
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((2, 3, 4, 3, 2), 6), ((4,) * 6, 16), ((3, 3), 5), ((2, 2, 2), 1),
+])
+def test_truncated_sweep_factors_only_below_the_row_count(shape, rank):
+    # Edge i factors its (r_{i-1} n_i) x rest unfolding only when the target
+    # keeps fewer directions than it has rows; otherwise u would be square
+    # orthogonal and the step keeps the identity.
+    x = np.random.default_rng(2).standard_normal(shape)
+    target = clip_ranks(shape, rank)
+    rows = [shape[0]] + [target[i - 1] * shape[i] for i in range(1, len(shape) - 1)]
+    factored = []
+    with _calls(decompose, "left_svd", factored, lambda a: a.shape[0]):
+        t, report = tt_svd_truncated(x, rank)
+    assert factored == [r for r, k in zip(rows, target) if k < r]
+    assert t.ranks == target
+    assert all(report.discarded_energy[i] == 0.0
+               for i, (r, k) in enumerate(zip(rows, target)) if k >= r)
+
+
+@pytest.mark.parametrize("shape, run", [
+    ((2, 2), lambda x: randomized_tt_svd(x, (5,), RngStream(0))),
+    ((3, 3), lambda x: tt_svd_truncated(x, 5)),
+], ids=["randomized-2x2", "truncated-3x3"])
+def test_all_identity_train_holds_no_view_of_the_input(shape, run):
+    # Every step is the identity, so the first (randomized) or last
+    # (deterministic) core holds the input's entries, exactly: it must be a
+    # copy.
+    x = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    x.flags.writeable = False  # the input is never written
+    t, _ = run(x)
+    assert not any(np.shares_memory(c, x) for c in t.cores)
+    assert np.array_equal(tt_evaluate(t), x)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +487,20 @@ def test_dense_sketch_frees_each_gaussian_block():
         lead //= shape[j - 2]
     peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
     assert peak < bound + cores + 3 * C * 8 + 2 ** 16
+
+
+def test_identity_step_draws_no_block_and_copies_nothing():
+    # At (4,)*9 and width 8, step 9 is the identity (8 >= its 4 columns): it
+    # draws no 8 x 4^8 block and makes no projected copy, and b stays a view
+    # of the input.  Step 8 then holds its 8 x 4^7 block and, after that, its
+    # projection, of 4^7 x 8; every later step holds less.  Drawing at
+    # step 9 would hold a 4 MB block, more than this bound allows.
+    shape, s = (4,) * 9, 8
+    x = np.random.default_rng(0).standard_normal(shape)
+    widths = (s,) * (len(shape) - 1)
+    t, _ = randomized_tt_svd(x, widths, RngStream(3))
+    cores = sum(c.nbytes for c in t.cores)
+    lead = x.size // (shape[-1] * shape[-2])
+    block, projection = 8 * s * lead, 8 * lead * t.cores[-2].shape[0]
+    peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
+    assert peak < block + projection + cores + 3 * C * 8 + 2 ** 16

@@ -234,3 +234,21 @@ def test_train_operations_match_the_refold_reference(case):
         assert not any(np.shares_memory(a, c) for a in got.cores for c in t.cores)
     # no input core was modified
     assert all(_same_bits(c, b) for c, b in zip(t.cores, before))
+
+
+@example((randomized_tt_svd(np.arange(1.0, 25.0).reshape(2, 3, 4), 3, RngStream(5))[0],
+          [1, 2]))
+@given(train_cases())
+@settings(max_examples=60, deadline=None)
+def test_round_trusts_a_right_orthogonal_train(case):
+    # A train flagged "right" is rounded as it is; the same cores without
+    # the flag are right-orthogonalized first.  Both sweeps cut the spectra
+    # of the same unfoldings, so they agree to roundoff.
+    t, target = case
+    r = orthogonalize_right(t)
+    got, want = tt_round(r, target), tt_round(TTTensor(r.cores), target)
+    assert got.ranks == want.ranks
+    y = tt_evaluate(want)
+    assert np.linalg.norm(tt_evaluate(got) - y) <= 1e-12 * np.linalg.norm(y)
+    # the result holds new arrays only
+    assert not any(np.shares_memory(a, c) for a in got.cores for c in r.cores)
