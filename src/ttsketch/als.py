@@ -18,7 +18,7 @@ orthonormalize, and the second solve projects f onto it.
 import numpy as np
 
 from .linalg import qr
-from .tensor import check_dense_size, check_finite, element_count
+from .tensor import as_real, check_dense_size, check_finite, element_count
 from .tt import TTTensor, clip_ranks, core_shapes, orthogonalize_right
 
 
@@ -81,7 +81,7 @@ def als_half_sweep(f, ranks, rng):
     (non-increasing).  When the train rank of f is elementwise at most
     the target, the half sweep reaches zero error with probability one.
     """
-    f = np.asarray(f, dtype=np.float64)
+    f = as_real(f, "ALS target")
     shape = f.shape
     if len(shape) < 2:
         raise ValueError("ALS needs order >= 2")

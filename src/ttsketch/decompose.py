@@ -30,16 +30,20 @@ row per entry, entries with equal leading positions split, since their
 contributions add linearly; both contractions are one matrix product per
 mode value, so the cost grows linearly in the order at fixed N and s.
 
-A step whose orthonormal factor would be square keeps every direction, so
-it only rotates the remainder: a sketch with at least as many rows as the
+Each sweep's loop bounds its ranks by its unfoldings' rows and columns (a
+sketch takes at most as many rows as the unfolding has), so the entry
+points only check that widths and targets are positive integers.  A step
+whose orthonormal factor would be square keeps every direction, so it
+only rotates the remainder: a sketch with at least as many rows as the
 unfolding has columns (the range finder's exact case; Halko, Martinsson &
 Tropp, SIAM Rev. 53, 2011, sec. 4), or a truncation target of at least the
 unfolding's rows where it has no more rows than columns.  Both sweeps make
 such a step an identity core and draw, multiply, factor and copy nothing;
 the exact sweep's ranks depend on the singular values, so it factors all.
 
-Every entry point takes a finite dense array (NaN or inf raises ValueError)
-or a SparseTensor, which the deterministic sweeps densify, of order >= 2.
+Every entry point takes a finite real dense array (NaN, inf or a complex
+dtype raises ValueError) or a SparseTensor, which the deterministic sweeps
+densify, of order >= 2.
 Once the method's own parameters pass, a zero input gets the rank-one zero
 train and a degenerate report without a sweep.  A report holds the ranks
 and the wall time, and for the deterministic sweeps the energy cut per edge.
@@ -55,10 +59,10 @@ from . import _kernels
 # svd is unused here but stays bound: perfbench's tracer test expects it.
 from .linalg import left_svd, numerical_rank, qr, rq_row_orthonormal, svd  # noqa: F401
 from .tensor import (
-    SparseTensor, check_finite, check_integers, element_count,
+    SparseTensor, as_real, check_finite, check_integers, element_count,
     first_differing_mode, norm,
 )
-from .tt import TTTensor, clip_ranks, integral_ranks, tt_evaluate, zero_tt
+from .tt import TTTensor, integral_ranks, tt_evaluate, zero_tt
 
 _E = math.e
 
@@ -155,9 +159,9 @@ def relative_error(x, t):
 
 
 def _admit(x):
-    """Dense input as float64 and a SparseTensor as it is, of order >= 2."""
+    """Real dense input as float64 and a SparseTensor as it is, of order >= 2."""
     if not isinstance(x, SparseTensor):
-        x = np.asarray(x, dtype=np.float64)
+        x = as_real(x, "tensor entries")
     if x.ndim < 2:
         raise ValueError("decomposition needs order >= 2")
     return x
@@ -223,7 +227,7 @@ def tt_svd_exact(x, rel_tol=1e-12):
 def tt_svd_truncated(x, target_ranks):
     """Train truncated to the target ranks by the deterministic sweep."""
     x = _admit(x)
-    target = clip_ranks(x.shape, target_ranks)
+    target = integral_ranks(target_ranks, x.ndim - 1)
     return _decompose(x, lambda x: _svd_sweep(x, target))
 
 
@@ -233,23 +237,27 @@ def tt_svd_truncated(x, target_ranks):
 def _sketch_sweep(x, sketch, rng, remainder):
     """Right-orthogonal train of x; remainder(x) is b in x's representation.
 
-    b gives its sketch(j, s, key), an (s, n_j * t) matrix, its projection
-    project(j, q) onto the rows of q and, after step 2, its first_core().
+    b gives its sketch(j, s, key, lead), an (s, n_j * t) matrix, its
+    projection project(j, q) onto the rows of q and, after step 2, its
+    first_core().
     """
     d = x.ndim
     cores = [None] * d
     b = remainder(x)
     t = 1
+    lead = element_count(x.shape[:-1])  # rows of the unfolding at step j
     for j in range(d, 1, -1):
         n_j = x.shape[j - 1]
         # q keeps min(s, n_j * t) rows; a sketch covering the n_j * t columns
         # would make it square (b q^T q = b): the identity step, q None.
-        q = None if sketch[j - 2] >= n_j * t else rq_row_orthonormal(
-            b.sketch(j, sketch[j - 2], rng.substream(j).key))[1]
+        s = min(sketch[j - 2], lead)
+        q = None if s >= n_j * t else rq_row_orthonormal(
+            b.sketch(j, s, rng.substream(j).key, lead))[1]
         core = np.eye(n_j * t) if q is None else q
         cores[j - 1] = core if j == d else core.reshape(-1, n_j, t)
         t = core.shape[0]
         b.project(j, q)
+        lead //= x.shape[j - 2]
     cores[0] = b.first_core()
     return TTTensor(cores, ortho="right")
 
@@ -261,11 +269,10 @@ class _DenseRemainder:
         self.shape = x.shape
         self.b = x.reshape(element_count(x.shape[:-1]), x.shape[-1])
 
-    def sketch(self, j, s, key):
+    def sketch(self, j, s, key, lead):
         # The Gaussian block is freed by the product that consumes it, so
         # it never lives beside the next step's b: a step holds b, one
         # draw of s * lead normals and then b beside its projection.
-        lead = self.b.shape[0]
         return _kernels.standard_normals(key, s * lead).reshape(s, lead) @ self.b
 
     def project(self, j, q):
@@ -308,28 +315,26 @@ class _SparseRemainder:
         self.split = first_differing_mode(xs.idx)
         self.vals = xs.values[:, None]
         self.order = np.arange(xs.nnz)
-        self.lead = element_count(xs.shape)
         self._sort(xs.ndim)
 
     def _sort(self, j):
         # Rows by mode j for step j; stable, so the order is reproducible,
         # and a narrow key lets numpy use its radix sort.
         n_j = self.shape[j - 1]
-        self.lead //= n_j
         mu = self.idx[self.order, j - 1]
         by_mode = np.argsort(mu.astype(np.min_scalar_type(n_j - 1)), kind="stable")
         self.order = self.order[by_mode]
         self.mu = mu[by_mode]
         self.vals = self.vals[by_mode]
 
-    def sketch(self, j, s, key):
+    def sketch(self, j, s, key, lead):
         new = self.split < j - 1  # split[0] == 0, so entry 0 starts a run
         # One row per prefix, gathered to the entries one mode group at a
         # time and freed on return: a step holds the projected rows, the
         # rows per prefix and one group's gathered rows, then the projected
         # rows beside the next ones.
         gam = _kernels.gammas_at(
-            self.heads[j - 1][new], s, np.uint64(self.lead % 2 ** 64), np.uint64(key)
+            self.heads[j - 1][new], s, np.uint64(lead % 2 ** 64), np.uint64(key)
         )
         run = (np.cumsum(new) - 1)[self.order]
         a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, self.shape[j - 1])
@@ -353,24 +358,22 @@ def randomized_tt_svd(x, sketch_ranks, rng):
     """Sketch-based train decomposition of a dense or sparse tensor.
 
     `sketch_ranks` (an int or one int per edge) fixes the number of
-    Gaussian sketch rows per step and thereby the ranks of the result.
-    An int is clipped to the dimension products first; an explicit
-    per-edge sequence is used exactly as given (widths beyond the
-    feasible rank only cost memory, never correctness).  The output is
-    right-orthogonal in cores 2..d and evaluating it applies an
-    orthogonal projector to x, so the error never exceeds ||x||.  When
-    the train rank of x is elementwise at most the sketch ranks, the
-    reconstruction is exact with probability one.
+    Gaussian sketch rows per step and thereby the ranks of the result:
+    edge j reaches min(width, rows, n_{j+1} * r_{j+1}) of its unfolding,
+    never more than `clip_ranks` gives.  The output is right-orthogonal
+    in cores 2..d and evaluating it applies an orthogonal projector to
+    x, so the error never exceeds ||x||.  When the train rank of x is
+    elementwise at most the sketch ranks, the reconstruction is exact
+    with probability one.
 
     Dense and sparse inputs consume the per-step Gaussian streams
     identically, so both representations of the same tensor under the
     same stream produce the same train up to floating point roundoff
-    as long as the widths are feasible (within the clipped ranks).
-    Wider sketches pad cores with arbitrary orthonormal directions that
-    may differ between the paths; the represented tensor still agrees.
+    where the widths are within the unfoldings' numerical ranks.  Wider
+    sketches pad cores with arbitrary orthonormal directions that may
+    differ between the paths; the represented tensor still agrees.
     """
     x = _admit(x)
-    sketch = (clip_ranks(x.shape, sketch_ranks) if np.ndim(sketch_ranks) == 0
-              else integral_ranks(sketch_ranks, x.ndim - 1))
+    sketch = integral_ranks(sketch_ranks, x.ndim - 1)
     remainder = _SparseRemainder if isinstance(x, SparseTensor) else _DenseRemainder
     return _decompose(x, lambda x: (_sketch_sweep(x, sketch, rng, remainder), ()))

@@ -192,20 +192,12 @@ def _median_ms(fn, *args):
 
 
 def _runtime_sample(cfg, param, sample_idx, stream):
-    d = cfg.d
-    shape = (cfg.n,) * d
+    shape = (cfg.n,) * cfg.d
     # gaussian_sparse also accepts 0 entries, which leave nothing to time.
     if not 0 < cfg.nnz <= element_count(shape):
         raise ValueError("entry count must be in [1, element count]")
     xs = gaussian_sparse(shape, cfg.nnz, stream.substream(0))
-    # The same requested width at every edge (no rank clipping).  The last
-    # four steps are identity steps (width 20 covers the 2, 4, 8 and 16
-    # columns of binary modes), so every order pays the same cheap ramp
-    # there and a full-width cost per interior step: the time is affine in
-    # the order.  Clipping the request would narrow the left edges too and
-    # make the small-order points cheaper still.
-    sketch = (cfg.r + cfg.p,) * (d - 1)
-    t_rnd = _median_ms(randomized_tt_svd, xs, sketch, stream.substream(1))
+    t_rnd = _median_ms(randomized_tt_svd, xs, cfg.r + cfg.p, stream.substream(1))
     t_det = None
     if element_count(shape) <= RUNTIME_DENSE_LIMIT:
         t_det = _median_ms(tt_svd_truncated, xs.to_dense(), cfg.r)

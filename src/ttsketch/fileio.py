@@ -23,7 +23,9 @@ import math
 
 import numpy as np
 
-from .tensor import SparseTensor, check_dense_size, check_shape, element_count
+from .tensor import (
+    SparseTensor, check_dense_size, check_finite, check_shape, element_count,
+)
 from .tt import TTTensor, core_shapes
 
 
@@ -95,6 +97,8 @@ def _write(path, head, lines):
 
 def save_dense(path, x):
     x = np.asarray(x, dtype=np.float64)
+    check_shape(x.shape)
+    check_finite(x)
     _write(path, ["dense", x.ndim, *x.shape],
            (" ".join(map(_fmt, row)) for row in x.reshape(-1, x.shape[-1])))
 
@@ -178,6 +182,8 @@ def _first_bad_entry(idx_tokens, values, shape):
 def save_tt(path, t):
     if not isinstance(t, TTTensor):
         raise TypeError("save_tt expects a TTTensor")
+    for core in t.cores:
+        check_finite(core, "tt core")
     _write(path, ["tt", t.order, *t.shape, *t.ranks],
            (" ".join(map(_fmt, core.ravel())) for core in t.cores))
 

@@ -58,14 +58,23 @@ def check_dense_size(shape):
     return total
 
 
-def check_finite(x):
+def check_finite(x, what="dense tensor"):
     """Reject a dense tensor holding NaN or inf.
 
     A NaN makes min and max NaN and an inf makes one of them infinite, so
     two reductions find both without an x.size boolean mask.
     """
     if not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        raise ValueError("dense tensor entries must be finite")
+        raise ValueError(f"{what} entries must be finite")
+
+
+def as_real(a, what):
+    """a as a float64 array; complex input, whose imaginary part the cast
+    would drop, raises ValueError.  The check reads the dtype only."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got dtype {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
 
 
 def norm(x):
@@ -118,7 +127,7 @@ class SparseTensor:
         self.shape = check_shape(shape)
         d = len(self.shape)
         idx = np.asarray(idx, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        values = as_real(values, "sparse values")
         if idx.ndim != 2 or idx.shape[1] != d:
             raise ValueError(f"index array must be (nnz, {d}), got {idx.shape}")
         if values.shape != (idx.shape[0],):

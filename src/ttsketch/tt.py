@@ -15,7 +15,9 @@ core, which is what tt_norm exploits.
 import numpy as np
 
 from .linalg import rq_row_orthonormal, truncated_svd
-from .tensor import check_dense_size, check_integers, check_shape, element_count
+from .tensor import (
+    as_real, check_dense_size, check_integers, check_shape, element_count,
+)
 
 
 class TTTensor:
@@ -24,7 +26,7 @@ class TTTensor:
     __slots__ = ("cores", "ortho")
 
     def __init__(self, cores, ortho=None):
-        cores = [np.asarray(c, dtype=np.float64) for c in cores]
+        cores = [as_real(c, f"core {i}") for i, c in enumerate(cores)]
         if len(cores) < 2:
             raise ValueError("a tensor train needs at least two cores")
         for i, c in enumerate(cores):
@@ -34,9 +36,13 @@ class TTTensor:
             raise ValueError(f"unknown orthogonality state {ortho!r}")
         self.cores = cores
         self.ortho = ortho
+        shape, ranks = self.shape, self.ranks
+        if 0 in shape or 0 in ranks:
+            raise ValueError(f"mode sizes and ranks must be positive, got shape "
+                             f"{shape} and ranks {ranks}")
         # The first core whose shape differs from the layout that the
         # modes and ranks read off the cores imply is the one at fault.
-        for i, (c, dims) in enumerate(zip(cores, core_shapes(self.shape, self.ranks))):
+        for i, (c, dims) in enumerate(zip(cores, core_shapes(shape, ranks))):
             if c.shape != dims:
                 raise ValueError(f"core {i} has shape {c.shape}, expected {dims}")
 
@@ -163,10 +169,10 @@ def tt_round(t, target_ranks):
 
     Right-orthogonalizes first, unless the train already is, then runs one
     left-to-right sweep of rank-truncated SVDs, so each local cut is taken
-    against an orthonormal environment.  The result is left-orthogonal with
-    ranks min(target, input rank) per edge, and holds new arrays only.
+    against an orthonormal environment.  The result is left-orthogonal, edge
+    i of rank min(target, rows, columns) of its unfolding, all new arrays.
     """
-    target = clip_ranks(t.shape, target_ranks)
+    target = integral_ranks(target_ranks, t.order - 1)
     cores = list(t.cores) if t.ortho == "right" else orthogonalize_right(t).cores
     for i in range(len(cores) - 1):
         core, nxt = cores[i], cores[i + 1]

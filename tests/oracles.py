@@ -8,8 +8,9 @@ that each can be compared bit for bit: ref_normals_vec takes its cosine
 by the package's tan identity (ref_normals_cos_vec takes it by np.cos,
 to bound the distance between the two), ref_randomized_sparse changes only
 how the sketch rows are drawn, ref_randomized_dense is the dense sweep in
-its own loop, kept word for word but for its identity steps (both keep,
-with draw_all, the sweep that draws at every step),
+its own loop, kept word for word but for its identity steps and its
+clamp of each width to the unfolding's rows (both keep, with draw_all, the
+sweep that draws at every step),
 ref_draw_tail_cores right-orthogonalizes by hand with the package's RQ,
 and ref_orthogonalize_right and ref_tt_round are the train operations
 before their refolds became reshapes, kept word for word but for
@@ -185,7 +186,8 @@ def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
     with it, so unlike the rest of this module it runs the package's own
     kernels, RQ and prefix codes: only the draw (each entry maps to its own
     row) and the first core's scatter-add (np.add.at here) may differ.
-    `sketch` is one width per edge.  A step whose width covers its n_j * t
+    `sketch` is one width per edge; a step takes at most as many rows as
+    its unfolding has (lead).  A step whose width covers its n_j * t
     columns is the identity and draws nothing; with draw_all it draws and
     factors anyway, as the sweep did before it had identity steps.
     """
@@ -205,8 +207,8 @@ def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
     order = np.arange(xs.nnz)
     for j in range(d, 1, -1):
         n_j = shape[j - 1]
-        s_prev = sketch[j - 2]
         lead //= n_j
+        s_prev = min(sketch[j - 2], lead)
         mu = xs.idx[order, j - 1]
         by_mode = np.argsort(mu, kind="stable")
         order = order[by_mode]
@@ -241,12 +243,13 @@ def ref_randomized_dense(x, sketch, rng, draw_all=False):
     """Train of the dense randomized sweep, as written in its own loop.
 
     The dense sweep before the dense and sparse paths shared one loop,
-    kept word for word but for its identity steps: the bit-identity test
-    compares the package's shared loop with it.  `x` is a float64 array,
-    `sketch` one width per edge.  A step whose width covers its n_j * t
-    columns keeps eye(n_j * t) as its core and b as it is; with draw_all
-    it draws, factors and projects anyway, as the sweep did before it had
-    identity steps.
+    kept word for word but for its identity steps and its width clamp: the
+    bit-identity test compares the package's shared loop with it.  `x` is
+    a float64 array, `sketch` one width per edge; a step takes at most as
+    many rows as its unfolding has (lead).  A step whose width covers its
+    n_j * t columns keeps eye(n_j * t) as its core and b as it is; with
+    draw_all it draws, factors and projects anyway, as the sweep did
+    before it had identity steps.
     """
     from ttsketch import _kernels
     from ttsketch.linalg import rq_row_orthonormal
@@ -261,7 +264,7 @@ def ref_randomized_dense(x, sketch, rng, draw_all=False):
     t_dim = 1
     for j in range(d, 1, -1):
         n_j = shape[j - 1]
-        s_prev = sketch[j - 2]
+        s_prev = min(sketch[j - 2], lead)
         if s_prev >= n_j * t_dim and not draw_all:
             t_next = n_j * t_dim
             q = np.eye(t_next)

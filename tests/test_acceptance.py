@@ -141,8 +141,9 @@ def test_c06_sparse_runtime_scaling(capsys):
     ss_res = float(np.sum((ts - fitted) ** 2))
     ss_tot = float(np.sum((ts - ts.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    # The widths clamp near the right boundary, so the time is affine in d
-    # with a fixed, cheaper boundary ramp, not proportional to d.  The
+    # The widths clamp near both boundaries (identity steps on the right,
+    # steps with fewer rows than the width on the left), so the time is
+    # affine in d with two fixed, cheaper ramps, not proportional to d.  The
     # chord-over-first-step slope ratio cancels that offset: 1 for linear
     # growth, (60 + 10) / (20 + 10) for quadratic growth.
     growth = chord_slope_ratio(ds, ts)

@@ -79,6 +79,12 @@ def test_non_finite_target_rejected(bad):
         als_half_sweep(f, 2, RngStream(87))
 
 
+def test_complex_target_rejected():
+    # The real part alone would be fitted; the imaginary part is not dropped.
+    with pytest.raises(ValueError, match="ALS target must be real"):
+        als_half_sweep(np.ones((3, 4, 2)) * (1 + 2j), 2, RngStream(87))
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
 def test_tail_draw_matches_hand_orthogonalization(d, n):

@@ -6,16 +6,19 @@ input, short-cut the zero tensor and write their report in one place;
 these properties hold for all of them on small random shapes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttsketch import (
-    RngStream, SparseTensor, clip_ranks, gaussian_dense, gaussian_sparse,
-    random_tt, randomized_tt_svd, relative_error, tt_evaluate, tt_svd_exact,
-    tt_svd_truncated,
+    RngStream, SparseTensor, TTTensor, clip_ranks, gaussian_dense, gaussian_sparse,
+    random_tt, randomized_tt_svd, relative_error, tt_evaluate, tt_round,
+    tt_svd_exact, tt_svd_truncated,
 )
+from ttsketch.tt import core_shapes
 
 _SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 _SHAPES = st.lists(st.integers(1, 4), min_size=2, max_size=5).map(tuple)
@@ -91,8 +94,8 @@ def test_sketch_is_an_orthogonal_projection(sparse, shape, width, seed):
 @given(shape=_SHAPES, width=st.integers(1, 20), seed=_SEEDS)
 @_SETTINGS
 def test_int_width_is_its_clipped_ranks(sparse, shape, width, seed):
-    # An int width is clipped to the dimension products; passing the
-    # clipped widths explicitly gives the same cores, bit for bit.
+    # An int width reaches the ranks clip_ranks gives; passing those widths
+    # explicitly gives the same cores, bit for bit.
     rng = RngStream(seed)
     if sparse:
         x = gaussian_sparse(shape, min(5, int(np.prod(shape))), rng.substream(0))
@@ -102,6 +105,76 @@ def test_int_width_is_its_clipped_ranks(sparse, shape, width, seed):
     b, _ = randomized_tt_svd(x, clip_ranks(shape, width), rng.substream(1))
     assert len(a.cores) == len(b.cores)
     for ca, cb in zip(a.cores, b.cores):
+        assert np.array_equal(ca, cb)
+
+
+def _loop_bound(shape, widths):
+    """r_j = min(w_j, lead_j, n_{j+1} r_{j+1}): the width, the rows of the
+    unfolding at edge j and its columns, from the right boundary inwards."""
+    r, ranks = 1, []
+    for j in range(len(shape) - 1, 0, -1):
+        r = min(widths[j - 1], math.prod(shape[:j]), shape[j] * r)
+        ranks.append(r)
+    return tuple(ranks[::-1])
+
+
+def _edge_widths(shape, top):
+    return st.lists(st.integers(1, top), min_size=len(shape) - 1,
+                    max_size=len(shape) - 1).map(tuple)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@given(shape=_SHAPES, data=st.data(), seed=_SEEDS)
+@_SETTINGS
+def test_per_edge_widths_reach_the_loop_bound(sparse, shape, data, seed):
+    # The sweep's loop bounds every rank: a per-edge width reaches
+    # min(w_j, lead_j, n_{j+1} r_{j+1}), never more than clip_ranks gives
+    # (an int width gives clip_ranks' bits: test_int_width_is_its_clipped_ranks).
+    widths = data.draw(_edge_widths(shape, 40))
+    rng = RngStream(seed)
+    if sparse:
+        x = gaussian_sparse(shape, min(5, int(np.prod(shape))), rng.substream(0))
+    else:
+        x = gaussian_dense(shape, rng.substream(0))
+    t, report = randomized_tt_svd(x, widths, rng.substream(1))
+    assert t.ranks == report.ranks == _loop_bound(shape, widths)
+    assert all(r <= c for r, c in zip(t.ranks, clip_ranks(shape, widths)))
+
+
+@given(shape=_SHAPES, data=st.data(), seed=_SEEDS)
+@_SETTINGS
+def test_targets_above_the_clip_change_no_bit(shape, data, seed):
+    # The deterministic sweep and tt_round slice each rank at the rows and
+    # columns of its unfolding, so per-edge targets above clip_ranks give
+    # the bits the clipped targets give, for x and for an oversized train.
+    above = data.draw(_edge_widths(shape, 30))
+    clipped = clip_ranks(shape, above)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    oversized = TTTensor([rng.standard_normal(dims) for dims in core_shapes(
+        shape, data.draw(_edge_widths(shape, 9)))])
+    for fn, arg in ((lambda a, r: tt_svd_truncated(a, r)[0], x), (tt_round, oversized)):
+        a, b = fn(arg, above), fn(arg, clipped)
+        assert a.ranks == b.ranks
+        for ca, cb in zip(a.cores, b.cores):
+            assert np.array_equal(ca.view(np.uint64), cb.view(np.uint64))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_widths_past_the_leading_rows_clamp_there(sparse):
+    # (2, 3, 4, 3) at widths (30, 30, 30): the unfoldings at the three edges
+    # have 2, 6 and 3 rows or columns at most, so no edge holds more, the
+    # first core is 2 x 2 and the int width 30 gives the same bits.
+    x = np.random.default_rng(0).standard_normal((2, 3, 4, 3))
+    x[x < -0.5] = 0.0
+    if sparse:
+        idx = np.argwhere(x)
+        x = SparseTensor(x.shape, idx, x[tuple(idx.T)])
+    t, _ = randomized_tt_svd(x, (30, 30, 30), RngStream(1))
+    assert t.ranks == (2, 6, 3)
+    assert t.cores[0].shape == (2, 2)
+    assert relative_error(x, t) <= 1e-12
+    for ca, cb in zip(t.cores, randomized_tt_svd(x, 30, RngStream(1))[0].cores):
         assert np.array_equal(ca, cb)
 
 
@@ -164,6 +237,15 @@ def test_bad_tolerance_rejected_on_zero_input(form, rel_tol):
     x = np.zeros((3, 2, 4)) if form == "dense" else _zero_sparse((3, 2, 4), 0)
     with pytest.raises(ValueError, match="tolerance"):
         tt_svd_exact(x, rel_tol)
+
+
+@pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[n for n, _ in _ENTRY_POINTS])
+def test_complex_input_rejected(name, call):
+    # Never the decomposition of the real part alone, nor the zero train of
+    # a purely imaginary input.
+    for x in (np.ones((2, 3, 4)) * (1 + 2j), np.ones((2, 3)) * 2j):
+        with pytest.raises(ValueError, match="tensor entries must be real"):
+            call(x, 2, 0)
 
 
 @pytest.mark.parametrize("name, call", _ENTRY_POINTS, ids=[n for n, _ in _ENTRY_POINTS])

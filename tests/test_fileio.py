@@ -61,6 +61,29 @@ def test_values_survive_17_digit_round_trip(tmp_path):
     assert np.array_equal(load_dense(path.read_text()), x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("writer", ["dense", "tt"])
+def test_writers_refuse_non_finite_values_and_leave_no_file(tmp_path, writer, bad):
+    # The readers refuse such files, so the writers refuse to start one.
+    x = np.ones((2, 3))
+    x[1, 2] = bad
+    save, obj = ((save_dense, x) if writer == "dense"
+                 else (save_tt, TTTensor([np.ones((2, 2)), x])))
+    path = tmp_path / "x.txt"
+    with pytest.raises(ValueError, match="entries must be finite"):
+        save(path, obj)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 0)), np.float64(1.0)],
+                         ids=["zero-mode", "order-0"])
+def test_dense_writer_refuses_shapes_the_reader_refuses(tmp_path, x):
+    path = tmp_path / "x.txt"
+    with pytest.raises(ValueError):
+        save_dense(path, x)
+    assert not path.exists()
+
+
 def test_line_breaks_are_cosmetic():
     text = "dense\n2\n 2 2\n1 2\n3\n4"
     assert np.array_equal(load_dense(text), [[1.0, 2.0], [3.0, 4.0]])

@@ -2,7 +2,8 @@
 
 Every name a module imports is used in that module, and every private
 top-level function or class is referenced somewhere in the package, so
-no import or helper outlives the code that needed it.
+no import or helper outlives the code that needed it.  The modules'
+imports of one another form no cycle, so the package reads in layers.
 """
 
 import ast
@@ -82,3 +83,39 @@ def test_every_private_helper_is_referenced():
         and node.name not in referenced
     ]
     assert private == []
+
+
+def _package_imports(tree):
+    """The package modules a module imports, at top level or in a function:
+    `from .m import ...` gives m, `from . import m` gives m."""
+    deps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            deps.update([node.module.split(".")[0]] if node.module
+                        else (alias.name for alias in node.names))
+    return deps
+
+
+def _in_cycles(graph):
+    """The modules left once every module that imports none of the others
+    left is peeled off, layer by layer: empty if and only if there is no
+    cycle."""
+    left = dict(graph)
+    while True:
+        layer = [m for m, deps in left.items() if not deps & left.keys()]
+        if not layer:
+            return sorted(left)
+        for m in layer:
+            del left[m]
+
+
+def test_peeling_finds_a_cycle():
+    assert _in_cycles({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == [
+        "a", "b", "c", "d"]
+    assert _in_cycles({"a": set(), "b": {"a"}, "c": {"a", "b"}}) == []
+
+
+def test_package_imports_have_no_cycle():
+    graph = {module: _package_imports(tree) for module, tree in MODULES.items()}
+    assert all(deps <= set(MODULES) for deps in graph.values())
+    assert _in_cycles(graph) == []

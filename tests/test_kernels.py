@@ -1,6 +1,7 @@
 """Chunked normals, grouped sparse kernels, uint64 prefix codes, the
 one-row-per-prefix Gaussian draw and the dense sweep against oracles."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -176,7 +177,8 @@ def _suffix_order(idx, j):
 
 
 def _drawing_steps(shape, widths):
-    """The steps j = d..2 whose width is below their n_j * t columns.
+    """The steps j = d..2 whose width, clamped to the rows of their
+    unfolding, is below their n_j * t columns.
 
     Every other step is the identity: its width covers the unfolding, so it
     keeps all n_j * t directions and draws nothing.
@@ -184,9 +186,10 @@ def _drawing_steps(shape, widths):
     t, steps = 1, []
     for j in range(len(shape), 1, -1):
         cols = shape[j - 1] * t
-        if widths[j - 2] < cols:
+        s = min(widths[j - 2], math.prod(shape[:j - 1]))
+        if s < cols:
             steps.append(j)
-        t = min(widths[j - 2], cols)
+        t = min(s, cols)
     return steps
 
 
@@ -392,8 +395,9 @@ def _calls(module, name, log, record):
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_identity_steps_draw_and_factor_nothing(sparse):
     # Widths (2, 9, 5, 3) against the columns n_j * t of steps 5..2: 3 >= 2
-    # and 5 >= 4 make steps 5 and 4 the identity; 9 < 16 and 2 < 18 make
-    # steps 3 and 2 draw and factor.
+    # and 5 >= 4 make steps 5 and 4 the identity.  Step 3 clamps 9 to the 6
+    # rows of its unfolding; 6 < 16 and 2 < 12 make steps 3 and 2 draw and
+    # factor.
     shape, widths = (3, 2, 4, 2, 2), (2, 9, 5, 3)
     x = np.random.default_rng(1).standard_normal(shape)
     if sparse:
@@ -407,8 +411,8 @@ def test_identity_steps_draw_and_factor_nothing(sparse):
             _calls(decompose, "rq_row_orthonormal", factored, lambda a: a.shape):
         t, _ = randomized_tt_svd(x, widths, RngStream(4))
     assert drawn == drawing
-    assert factored == [(9, 4 * 4), (2, 2 * 9)]
-    assert t.ranks == (2, 9, 4, 2)
+    assert factored == [(6, 4 * 4), (2, 2 * 6)]
+    assert t.ranks == (2, 6, 4, 2)
 
 
 @pytest.mark.parametrize("shape, rank", [

@@ -1,5 +1,7 @@
 """The sparse fast path must reproduce the dense path draw for draw."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,15 +49,16 @@ _SHAPE_AND_WIDTHS = st.lists(st.integers(1, 4), min_size=2, max_size=6).flatmap(
 
 @given(_SHAPE_AND_WIDTHS, st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_explicit_widths_clamp_at_the_right_boundary(shape_widths, seed):
-    # Explicit per-edge widths are not clipped; the widths reached are the
-    # rows of each RQ factor, which clamp from the right boundary inwards.
+def test_explicit_widths_clamp_at_both_boundaries(shape_widths, seed):
+    # The widths reached are the rows of each RQ factor: the width, clamped
+    # to the rows of the unfolding (its left boundary) and to its columns,
+    # which clamp from the right boundary inwards.
     shape, widths = shape_widths
     d = len(shape)
     want = [0] * (d - 1)
     r = 1
     for j in range(d - 1, 0, -1):
-        r = min(widths[j - 1], shape[j] * r)
+        r = min(widths[j - 1], math.prod(shape[:j]), shape[j] * r)
         want[j - 1] = r
     rng = RngStream(seed)
     x = gaussian_dense(shape, rng.substream(0))

@@ -253,3 +253,12 @@ def test_dense_size_guard():
     huge = SparseTensor((2,) * 50, [[0] * 50], [1.0])
     with pytest.raises(ValueError):
         huge.to_dense()
+
+
+@pytest.mark.parametrize("values", [np.array([1.0 + 2j]), [1j], np.array([3 + 0j])],
+                         ids=["array", "list", "zero-imaginary"])
+def test_sparse_complex_values_rejected(values):
+    # Every complex dtype is refused before the cast, which would drop the
+    # imaginary part of an array and fail with a TypeError on a list.
+    with pytest.raises(ValueError, match="sparse values must be real"):
+        SparseTensor((2, 3), [[0, 1]], values)

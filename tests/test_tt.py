@@ -40,6 +40,21 @@ def test_core_validation_names_the_first_bad_core(shapes, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("shapes", [
+    [(2, 0), (0, 3)], [(2, 1), (1, 0)], [(0, 1), (1, 3)], [(2, 1), (1, 0, 1), (1, 3)],
+], ids=["rank", "last-mode", "first-mode", "interior-mode"])
+def test_zero_ranks_and_mode_sizes_rejected(shapes):
+    # The writer would put them in a file the reader refuses, and rounding
+    # would fail in a reshape.
+    with pytest.raises(ValueError, match="mode sizes and ranks must be positive"):
+        TTTensor([np.zeros(shape) for shape in shapes])
+
+
+def test_complex_cores_rejected():
+    with pytest.raises(ValueError, match="core 1 must be real"):
+        TTTensor([np.ones((2, 1)), np.ones((1, 3)) * 1j])
+
+
 def test_core_shapes():
     assert core_shapes((3, 4), (2,)) == [(3, 2), (2, 4)]
     assert core_shapes((3, 4, 5, 6), (2, 7, 1)) == [
@@ -191,9 +206,9 @@ def test_round_matches_dense_truncation_error():
 def train_cases(draw):
     """(train, target ranks): orders 2-6, mode sizes 1-4, edge ranks 1-6.
 
-    Ranks above the dimension products stay unclipped in Gaussian cores and
-    clamp in the randomized sweep; the deterministic sweep clips them.  The
-    two sweeps give the core layouts the package itself produces.
+    Ranks above the dimension products stay unclipped in Gaussian cores;
+    each sweep's loop bounds them by the rows and columns of its unfoldings.
+    The two sweeps give the core layouts the package itself produces.
     """
     d = draw(st.integers(2, 6))
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
