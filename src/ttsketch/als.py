@@ -18,7 +18,7 @@ orthonormalize, and the second solve projects f onto it.
 import numpy as np
 
 from .linalg import qr
-from .tensor import as_real, check_dense_size, check_finite, element_count
+from .tensor import as_real, check_finite, element_count
 from .tt import TTTensor, clip_ranks, core_shapes, orthogonalize_right
 
 
@@ -85,7 +85,6 @@ def als_half_sweep(f, ranks, rng):
     shape = f.shape
     if len(shape) < 2:
         raise ValueError("ALS needs order >= 2")
-    check_dense_size(shape)
     if not f.any():
         raise ValueError("ALS target must be nonzero")
     check_finite(f)

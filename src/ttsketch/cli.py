@@ -17,8 +17,6 @@ import sys
 import time
 from dataclasses import fields
 
-import numpy as np
-
 from .decompose import randomized_tt_svd, relative_error, tt_svd_truncated
 from .experiments import (
     EXPERIMENT_NAMES, ExperimentConfig, run_experiment, write_csv,
@@ -89,11 +87,8 @@ def _cmd_decompose(args):
     if args.p < 0:
         raise SystemExit("--p must be nonnegative")
     x = load_tensor_file(args.input)
-    shape = x.shape
     t0 = time.perf_counter()
     if args.method == "det":
-        if isinstance(x, SparseTensor):
-            x = x.to_dense()
         result, report = tt_svd_truncated(x, args.r)
     else:
         draft, report = randomized_tt_svd(x, args.r + args.p, RngStream(args.seed))
@@ -101,12 +96,14 @@ def _cmd_decompose(args):
     elapsed = time.perf_counter() - t0
     save_tt(args.out, result)
     line = (
-        f"method={args.method} shape={'x'.join(str(n) for n in shape)} "
+        f"method={args.method} shape={'x'.join(str(n) for n in x.shape)} "
         f"ranks={','.join(str(r) for r in result.ranks)} time={elapsed:.3f}s"
     )
-    if not isinstance(x, SparseTensor):
-        err = relative_error(np.asarray(x), result)
-        line += f" rel_error={err:.6g}"
+    # A sparse x is densified for its error only where the deterministic
+    # sweep densified it anyway; a zero x has no relative error.
+    sparse_rand = args.method == "rand" and isinstance(x, SparseTensor)
+    if not (report.degenerate or sparse_rand):
+        line += f" rel_error={relative_error(x, result):.6g}"
     print(line)
     return 0
 

@@ -60,7 +60,7 @@ from . import _kernels
 from .linalg import left_svd, numerical_rank, qr, rq_row_orthonormal, svd  # noqa: F401
 from .tensor import (
     SparseTensor, as_real, check_finite, check_integers, element_count,
-    first_differing_mode, norm,
+    first_differing_mode,
 )
 from .tt import TTTensor, integral_ranks, tt_evaluate, zero_tt
 
@@ -148,10 +148,10 @@ def randomized_range(a, spec, rng):
 
 def relative_error(x, t):
     """||x - evaluation of t|| / ||x||; a SparseTensor x is densified."""
-    x = x.to_dense() if isinstance(x, SparseTensor) else np.asarray(x, dtype=np.float64)
+    x = x.to_dense() if isinstance(x, SparseTensor) else as_real(x, "tensor entries")
     if t.shape != x.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {t.shape}")
-    nx = norm(x)
+    nx = np.linalg.norm(x.ravel())
     if nx == 0.0:
         raise ValueError("relative error is undefined against a zero tensor")
     y = tt_evaluate(t)

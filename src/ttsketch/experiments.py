@@ -159,9 +159,8 @@ def _error_sample(cfg, target, pipelines, param, sample_idx, stream):
     alive at once.
     """
     x = target(cfg, stream.substream(0))
-    t0 = time.perf_counter()
-    y = tt_svd_truncated(x, cfg.r)[0]
-    t_det = 1e3 * (time.perf_counter() - t0)
+    y, report = tt_svd_truncated(x, cfg.r)
+    t_det = 1e3 * report.wall_time_s
     eps_det = relative_error(x, y)
     del y
     records = []
@@ -181,13 +180,9 @@ def _error_sample(cfg, target, pipelines, param, sample_idx, stream):
 
 
 def _median_ms(fn, *args):
-    """Median milliseconds of three calls of fn(*args), after one warm-up
-    call whose time is thrown away."""
-    times = []
-    for _ in range(4):
-        t0 = time.perf_counter()
-        fn(*args)
-        times.append(1e3 * (time.perf_counter() - t0))
+    """Median milliseconds of three decompositions fn(*args), as their
+    reports time them, after one warm-up call whose time is thrown away."""
+    times = [1e3 * fn(*args)[1].wall_time_s for _ in range(4)]
     return statistics.median(times[1:])
 
 

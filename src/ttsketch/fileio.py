@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .tensor import (
-    SparseTensor, check_dense_size, check_finite, check_shape, element_count,
+    SparseTensor, as_real, check_dense_size, check_finite, check_shape,
+    element_count,
 )
 from .tt import TTTensor, core_shapes
 
@@ -96,7 +97,7 @@ def _write(path, head, lines):
 
 
 def save_dense(path, x):
-    x = np.asarray(x, dtype=np.float64)
+    x = as_real(x, "dense tensor")
     check_shape(x.shape)
     check_finite(x)
     _write(path, ["dense", x.ndim, *x.shape],

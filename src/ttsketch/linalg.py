@@ -5,10 +5,14 @@ adds is determinism (each factor's sign ambiguity is resolved the same
 way everywhere) and the small variants the decomposition sweeps need:
 rank-truncated SVD, the left factor and singular values of a wide
 matrix from the R factor of its long side (Chan's R-SVD), a
-row-orthonormal RQ, and a relative-threshold numerical rank.
+row-orthonormal RQ, and a relative-threshold numerical rank.  Every
+factorization reads its matrix through tensor.as_real, so complex input
+raises ValueError instead of losing its imaginary part.
 """
 
 import numpy as np
+
+from .tensor import as_real
 
 
 def _fix_svd_signs(u, vt):
@@ -32,7 +36,7 @@ def _fix_svd_signs(u, vt):
 
 def svd(a):
     """Thin SVD a = u @ diag(s) @ vt with deterministic signs."""
-    a = np.asarray(a, dtype=np.float64)
+    a = as_real(a, "svd input")
     if a.ndim != 2:
         raise ValueError("svd expects a matrix")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -47,7 +51,7 @@ def left_svd(a):
     gives a = r.T @ q.T, so the square r.T has the same u and s, and q is
     not formed either.  Tall and square matrices take the plain SVD.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = as_real(a, "left_svd input")
     if a.ndim != 2:
         raise ValueError("left_svd expects a matrix")
     if a.shape[0] < a.shape[1]:
@@ -72,7 +76,7 @@ def truncated_svd(a, rank):
 
 def qr(a):
     """Thin QR with nonnegative diagonal of r."""
-    a = np.asarray(a, dtype=np.float64)
+    a = as_real(a, "qr input")
     if a.ndim != 2:
         raise ValueError("qr expects a matrix")
     q, r = np.linalg.qr(a)
@@ -88,7 +92,7 @@ def rq_row_orthonormal(a):
 
     Computed through the QR of the transpose; q has min(a.shape) rows.
     """
-    qt, rt = qr(np.asarray(a, dtype=np.float64).T)
+    qt, rt = qr(np.transpose(a))
     return rt.T, qt.T
 
 

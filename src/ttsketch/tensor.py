@@ -77,12 +77,6 @@ def as_real(a, what):
     return np.asarray(a, dtype=np.float64)
 
 
-def norm(x):
-    if isinstance(x, SparseTensor):
-        return float(np.linalg.norm(x.values))
-    return float(np.linalg.norm(np.asarray(x).ravel()))
-
-
 def first_differing_mode(idx):
     """Mode in which each row of an (nnz, d) index array first differs from
     the row before it.

@@ -16,12 +16,14 @@ import numpy as np
 
 from .linalg import rq_row_orthonormal, truncated_svd
 from .tensor import (
-    as_real, check_dense_size, check_integers, check_shape, element_count,
+    as_real, check_dense_size, check_finite, check_integers, check_shape,
+    element_count,
 )
 
 
 class TTTensor:
-    """Train of cores; `ortho` is None, "left" or "right"."""
+    """Train of cores; `ortho` is None, "left" or "right", checked against
+    the core shapes but taken on trust for the entries."""
 
     __slots__ = ("cores", "ortho")
 
@@ -45,6 +47,20 @@ class TTTensor:
         for i, (c, dims) in enumerate(zip(cores, core_shapes(shape, ranks))):
             if c.shape != dims:
                 raise ValueError(f"core {i} has shape {c.shape}, expected {dims}")
+        # The flag is checked on the shapes alone: an unfolding with
+        # orthonormal rows (cores 2..d of a "right" train) has no more rows
+        # than columns, one with orthonormal columns (cores 1..d-1 of a
+        # "left" train) no more columns than rows.
+        wide = []
+        if ortho == "right":
+            wide = [i for i, c in enumerate(cores)
+                    if i > 0 and c.shape[0] > element_count(c.shape[1:])]
+        elif ortho == "left":
+            wide = [i for i, c in enumerate(cores[:-1])
+                    if c.shape[-1] > element_count(c.shape[:-1])]
+        if wide:
+            raise ValueError(f"core {wide[0]} has shape {cores[wide[0]].shape}, "
+                             f"which no {ortho}-orthogonal train has")
 
     @property
     def order(self):
@@ -171,8 +187,11 @@ def tt_round(t, target_ranks):
     left-to-right sweep of rank-truncated SVDs, so each local cut is taken
     against an orthonormal environment.  The result is left-orthogonal, edge
     i of rank min(target, rows, columns) of its unfolding, all new arrays.
+    A NaN or inf core raises ValueError before any factorization.
     """
     target = integral_ranks(target_ranks, t.order - 1)
+    for i, core in enumerate(t.cores):
+        check_finite(core, f"core {i}")
     cores = list(t.cores) if t.ortho == "right" else orthogonalize_right(t).cores
     for i in range(len(cores) - 1):
         core, nxt = cores[i], cores[i + 1]

@@ -68,6 +68,35 @@ def test_decompose_sparse_rand(tmp_path, capsys):
     assert "time=" in capsys.readouterr().out
 
 
+def test_decompose_sparse_det_prints_the_error(tmp_path, capsys):
+    # The deterministic sweep densifies a sparse input, so its error is
+    # printed as for dense input.
+    xs = gaussian_sparse((4, 4, 4), 10, RngStream(6))
+    src = tmp_path / "s.txt"
+    save_sparse(src, xs)
+    code = main(["decompose", "--input", str(src), "--method", "det",
+                 "--r", "10", "--out", str(tmp_path / "s.tt")])
+    assert code == 0
+    err = float(capsys.readouterr().out.split("rel_error=")[1])
+    assert err < 1e-12  # rank 10 covers every unfolding of 4x4x4
+
+
+@pytest.mark.parametrize("method", ["det", "rand"])
+def test_decompose_zero_file_prints_no_error(tmp_path, capsys, method):
+    # A zero tensor has no relative error; the zero train is written and
+    # the command succeeds.
+    src = tmp_path / "z.txt"
+    save_dense(src, np.zeros((3, 4, 2)))
+    dst = tmp_path / "z.tt"
+    code = main(["decompose", "--input", str(src), "--method", method,
+                 "--r", "2", "--out", str(dst)])
+    assert code == 0
+    t = load_tt_file(dst)
+    assert t.ranks == (1, 1) and not tt_evaluate(t).any()
+    out = capsys.readouterr().out
+    assert "ranks=1,1" in out and "rel_error" not in out
+
+
 @pytest.mark.parametrize("method, flags, message", [
     ("det", ["--r", "0"], "--r must be positive"),
     ("rand", ["--r", "1", "--p", "-1"], "--p must be nonnegative"),

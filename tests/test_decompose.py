@@ -223,6 +223,14 @@ def test_range_finder_sign_convention():
     assert np.all(np.diag(q.T @ (a @ g)) >= 0.0)
 
 
+def test_range_finder_refuses_complex_input():
+    # The product a @ g is complex, and its QR refuses it rather than
+    # return a basis of the real part.
+    a = RngStream(3).normals((6, 4)) * 1j
+    with pytest.raises(ValueError, match="must be real"):
+        randomized_range(a, OversamplingSpec(2, 1), RngStream(4))
+
+
 def test_oversampling_spec_validation():
     with pytest.raises(ValueError):
         OversamplingSpec(0, 2)
@@ -449,6 +457,13 @@ def test_relative_error_trivials():
     assert abs(relative_error(x, zero_tt(x.shape)) - 1.0) < 1e-14
     with pytest.raises(ValueError):
         relative_error(np.zeros((2, 2)), zero_tt((2, 2)))
+
+
+def test_relative_error_refuses_complex_input():
+    # Cast to float64, the real part alone would read an error of 2.8e-16.
+    t, _ = tt_svd_truncated(np.ones((2, 3)), 1)
+    with pytest.raises(ValueError, match="tensor entries must be real"):
+        relative_error(np.ones((2, 3)) * (1 + 1j), t)
 
 
 def test_relative_error_checks_shapes_before_evaluating(monkeypatch):

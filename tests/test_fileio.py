@@ -84,6 +84,13 @@ def test_dense_writer_refuses_shapes_the_reader_refuses(tmp_path, x):
     assert not path.exists()
 
 
+def test_dense_writer_refuses_complex_values_and_leaves_no_file(tmp_path):
+    path = tmp_path / "x.txt"
+    with pytest.raises(ValueError, match="dense tensor must be real"):
+        save_dense(path, np.ones((2, 3)) * (1 + 1j))
+    assert not path.exists()
+
+
 def test_line_breaks_are_cosmetic():
     text = "dense\n2\n 2 2\n1 2\n3\n4"
     assert np.array_equal(load_dense(text), [[1.0, 2.0], [3.0, 4.0]])

@@ -144,6 +144,15 @@ def test_noisy_low_rank_noise_norm_exact():
         noisy_low_rank((3, 3, 3), 2, -0.1, rng)
 
 
+def test_noisy_low_rank_refuses_an_oversized_shape_before_drawing(monkeypatch):
+    # tt_evaluate would refuse it too, but only after random_tt drew the
+    # cores: 2e10 normals (160 GB) for this shape at rank 10.
+    monkeypatch.setattr("ttsketch.generators.random_tt",
+                        lambda *args: pytest.fail("cores drawn"))
+    with pytest.raises(ValueError, match="exceeds the addressable limit"):
+        noisy_low_rank((10 ** 9, 10 ** 9), 10, 0.1, RngStream(13))
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
 def test_noisy_low_rank_rejects_nonfinite_tau(tau):
     with pytest.raises(ValueError, match="noise level must be finite"):

@@ -4,6 +4,8 @@ Every name a module imports is used in that module, and every private
 top-level function or class is referenced somewhere in the package, so
 no import or helper outlives the code that needed it.  The modules'
 imports of one another form no cycle, so the package reads in layers.
+Only tensor.as_real casts to float64, so every reader refuses complex
+input the same way.
 """
 
 import ast
@@ -119,3 +121,48 @@ def test_package_imports_have_no_cycle():
     graph = {module: _package_imports(tree) for module, tree in MODULES.items()}
     assert all(deps <= set(MODULES) for deps in graph.values())
     assert _in_cycles(graph) == []
+
+
+# The casts the rule covers, with the position of their dtype argument.
+_DTYPE_POSITION = {"asarray": 1, "astype": 0}
+
+
+def _is_float64(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "float64"
+            or isinstance(node, ast.Name) and node.id == "float64"
+            or isinstance(node, ast.Constant) and node.value == "float64")
+
+
+def _float64_casts(tree, where=None):
+    """The enclosing function (None at module level) of every
+    `np.asarray(..., dtype=np.float64)` and `.astype(np.float64)` call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _float64_casts(node, node.name)
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DTYPE_POSITION):
+            at = _DTYPE_POSITION[node.func.attr]
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if any(map(_is_float64, dtypes + node.args[at:at + 1])):
+                yield where
+        yield from _float64_casts(node, where)
+
+
+def test_float64_cast_finder_finds_every_form():
+    tree = ast.parse(
+        "a = np.asarray(x, dtype=np.float64)\n"
+        "def f(x):\n"
+        "    def g(y):\n"
+        "        return y.astype(np.float64)\n"
+        "    return np.asarray(x, np.float64), x.astype(dtype='float64')\n"
+        "def h(x):\n"
+        "    return np.asarray(x), x.astype(np.int64), np.array(x, dtype=np.float64)\n"
+    )
+    assert list(_float64_casts(tree)) == [None, "g", "f", "f"]
+
+
+def test_only_as_real_casts_to_float64():
+    sites = {(module, where) for module, tree in MODULES.items()
+             for where in _float64_casts(tree)}
+    assert sites == {("tensor", "as_real")}

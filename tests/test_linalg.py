@@ -130,6 +130,17 @@ def test_left_svd_rejects_non_matrices():
         left_svd(np.ones(3))
 
 
+@pytest.mark.parametrize("factor", [svd, left_svd, qr, rq_row_orthonormal],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("a", [1j * np.eye(2), np.ones((2, 3)) * (1 + 2j)],
+                         ids=["imaginary", "complex"])
+def test_factorizations_refuse_complex_input(factor, a):
+    # Casting would drop the imaginary part: svd(1j * I) would give the
+    # singular values of the zero matrix.
+    with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+        factor(a)
+
+
 def test_truncated_svd_trivials():
     a = np.outer([1.0, 2.0], [3.0, 4.0])
     u, s, vt, cut = truncated_svd(a, 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as o
 from ttsketch import RngStream, SparseTensor
-from ttsketch.tensor import check_dense_size, norm
+from ttsketch.tensor import check_dense_size
 
 
 def _graded_tensor():
@@ -101,15 +101,6 @@ def test_inner_trivials_and_oracle():
     e[0, 0] = 1.0
     assert o.inner(e, e) == 1.0
     assert abs(o.inner(x, y) - o.naive_inner(x, y)) < 1e-12
-
-
-def test_norm_values():
-    assert norm(np.zeros((2, 2))) == 0.0
-    e = np.zeros((3, 3))
-    e[1, 1] = 1.0
-    assert norm(e) == 1.0
-    x = np.arange(1.0, 9.0).reshape(2, 2, 2)
-    assert abs(norm(x) - np.sqrt(204.0)) < 1e-13
 
 
 def test_sparse_empty_and_single():

@@ -55,6 +55,29 @@ def test_complex_cores_rejected():
         TTTensor([np.ones((2, 1)), np.ones((1, 3)) * 1j])
 
 
+@pytest.mark.parametrize("ortho, shapes, core", [
+    ("right", [(5, 5), (5, 2)], 1),
+    ("right", [(2, 5), (5, 2, 2), (2, 3)], 1),
+    ("left", [(2, 5), (5, 5)], 0),
+    ("left", [(4, 2), (2, 2, 5), (5, 3)], 1),
+], ids=["right-last", "right-interior", "left-first", "left-interior"])
+def test_orthogonality_flag_checked_against_core_shapes(ortho, shapes, core):
+    # An unfolding with more rows than columns has no orthonormal rows, and
+    # the mirror for columns; tt_round would trust the flag to rank 5.
+    cores = [np.ones(shape) for shape in shapes]
+    with pytest.raises(ValueError, match=f"core {core} has shape .* no {ortho}-"):
+        TTTensor(cores, ortho=ortho)
+    TTTensor(cores)  # the shapes themselves are a valid train
+
+
+def test_orthogonality_flag_leaves_the_free_core_unchecked():
+    # Core 1 of a "right" train and core d of a "left" one carry the norm.
+    assert TTTensor([np.ones((2, 5)), np.ones((5, 2, 3)), np.ones((3, 4))],
+                    ortho="right").ortho == "right"
+    assert TTTensor([np.ones((4, 3)), np.ones((3, 2, 5)), np.ones((5, 2))],
+                    ortho="left").ortho == "left"
+
+
 def test_core_shapes():
     assert core_shapes((3, 4), (2,)) == [(3, 2), (2, 4)]
     assert core_shapes((3, 4, 5, 6), (2, 7, 1)) == [
@@ -166,6 +189,16 @@ def test_orthogonalize_preserves_already_orthogonal():
     x = tt_evaluate(t)
     again = orthogonalize_right(t)
     assert np.linalg.norm(tt_evaluate(again) - x) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("core", [0, 1])
+def test_round_refuses_non_finite_cores(bad, core):
+    # Before any SVD, which would fail with "SVD did not converge".
+    cores = [np.ones((3, 2)), np.ones((2, 3))]
+    cores[core][0, 0] = bad
+    with pytest.raises(ValueError, match=f"core {core} entries must be finite"):
+        tt_round(TTTensor(cores), 1)
 
 
 def test_round_no_op_at_current_ranks():
