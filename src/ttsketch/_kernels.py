@@ -1,9 +1,12 @@
 """Hot numeric kernels, vectorized with numpy.
 
 The counter-based stream (splitmix64 mixing, Box-Muller normals, bounded
-index draws) and the two contractions of a sparse sketch step.
+index draws), the sketch's Gaussian draw at chained prefix codes
+(gammas_at, for the dense and the sparse sweep alike) and the two
+contractions of a sparse sketch step.
 
-Normals are drawn in chunks of _CHUNK counters.  Each chunk is mixed and
+The stream's normals (standard_normals) are drawn in chunks of _CHUNK
+counters.  Each chunk is mixed and
 transformed in place in two scratch arrays that stay in cache and is
 written straight into the preallocated output, so a draw of any size
 holds the output plus a fixed few hundred kilobytes.  The integer and
@@ -16,6 +19,12 @@ does not: a normal costs about half as much.  Every normal is within
 2e-15 of the np.cos form (4.4e-16 in the cosine, over 2.5e7 draws).  The
 last bits depend on numpy's tan dispatch, as they depended on libm's cos
 before.
+
+The sketch's draw keeps the sine of each pair as well, 2t / (1 + t^2),
+so one pair of mixer outputs, one log, sqrt and tan make two normals:
+sketch rows 2m and 2m+1.  Each row reads its own substream at the
+position's prefix code, so no two rows or positions share a counter at
+any order, and the chunks are pairs x positions blocks written in place.
 
 The sketch contractions take the stored entries sorted by their index in
 the current mode and run one matrix product per run of equal mode
@@ -36,15 +45,23 @@ _M2 = 0x94D049BB133111EB
 _U_PHI = np.uint64(_PHI)
 _U_M1 = np.uint64(_M1)
 _U_M2 = np.uint64(_M2)
+_U_GAMMA2 = np.uint64(_GAMMA2)
+_U_M1_INV = np.uint64(0x96DE1B173F119089)  # inverses of _M1 and _M2 mod 2**64
+_U_M2_INV = np.uint64(0x319642B2D24D8EC3)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
 _U11 = np.uint64(11)
+_U12 = np.uint64(12)
 _U21 = np.uint64(21)
+_U54 = np.uint64(54)
+_U60 = np.uint64(60)
+_U62 = np.uint64(62)
 _U32 = np.uint64(32)
 _U_LO = np.uint64(0xFFFFFFFF)
 _U1 = np.uint64(1)
 _TWO53_INV = float(2.0 ** -53)
+_U_ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +176,152 @@ def indices_at(key, counters, bound):
     return ((high << _U11) | ((mid2 & _U_LO) >> _U21)).astype(np.int64)
 
 
-def gammas_at(heads, s_prev, p_mod, key):
-    """Sketch rows met by stored entries: normals at counters head + k*p_mod.
+def row_keys(key, count):
+    """derive_key(key, k) for k < count, in one vectorized pass."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * _U_GAMMA2
+    z += np.uint64(key)
+    _mix_into(z, np.empty_like(z))
+    return z
 
-    Row u, column k is the dense Gaussian g[k, heads[u]] of a sketch step
-    whose leading dimension is p_mod (mod 2**64), for k < s_prev.  The
-    sparse path passes the codes of the distinct index prefixes of a step,
-    one head per occupied leading position, and gathers the rows to the
-    entries.  Rows are drawn in blocks of about _CHUNK normals (one row
-    per block when a row alone is longer).
+
+def _index_steps(index):
+    """(index + 1) * phi mod 2**64: what a prefix code adds for its next index."""
+    steps = np.multiply(index, _U_PHI, dtype=np.uint64, casting="unsafe")
+    steps += _U_PHI
+    return steps
+
+
+def extend_codes(codes, index):
+    """Codes of the prefixes `codes` extended by `index` (broadcast).
+
+    The code of a prefix is h_0 = 0 and h_k = mix(h_{k-1} + (i_k + 1) phi)
+    with the splitmix64 finalizer: a bijection of h_{k-1} for each index,
+    so distinct prefixes collide only by chance, about 2**-64 per pair.
     """
-    ks = np.arange(s_prev, dtype=np.uint64) * np.uint64(p_mod)
-    out = np.empty((heads.shape[0], s_prev))
-    step = max(1, _CHUNK // s_prev)
-    for lo in range(0, heads.shape[0], step):
-        counters = heads[lo:lo + step, None] + ks[None, :]
-        _normals_into(key, counters.reshape(-1), out[lo:lo + step].reshape(-1))
+    z = codes + _index_steps(index)
+    _mix_into(z, np.empty_like(z))
+    return z
+
+
+def parent_codes(codes, index):
+    """Inverse of extend_codes: the codes of the prefixes without their
+    last index, which is `index`."""
+    z = codes.copy()
+    w = np.empty_like(z)
+    # Each z ^= z >> k of the finalizer (k < 32) is undone by z ^= z >> k
+    # and then z ^= z >> 2k, since 3k >= 64; each product by its inverse.
+    for shift, twice, inverse in ((_U31, _U62, _U_M2_INV), (_U27, _U54, _U_M1_INV),
+                                  (_U30, _U60, None)):
+        np.right_shift(z, shift, out=w)
+        z ^= w
+        np.right_shift(z, twice, out=w)
+        z ^= w
+        if inverse is not None:
+            z *= inverse
+    z -= _index_steps(index)
+    return z
+
+
+def gammas_at(codes, s, key, children=None):
+    """Sketch rows 0..s-1 of the stream `key` at positions with these codes.
+
+    Returns g of shape (s, positions).  Row k reads the raw stream with key
+    derive_key(key, k) at counter h, the position's prefix code, and rows
+    2m, 2m+1 share one Box-Muller pair: u1 = 1 - (v1 >> 12) 2**-52 in
+    (0, 1] from row 2m's stream, u2 = (v2 >> 12) 2**-52 in [0, 1) from row
+    2m+1's, and with r = sqrt(-2 log u1), t = tan(pi u2), q = r / (1 + t^2),
+
+        g[2m] = (1 - t^2) q = r cos(2 pi u2),   g[2m+1] = 2t q = r sin(2 pi u2).
+
+    Row k does not depend on s.  The positions are the codes themselves,
+    or with children = n the n children of each code in row-major order
+    (position p extends code p // n by index p % n), derived one chunk at a
+    time, so the dense sketch holds only the codes of its parent level.
+
+    Each chunk is a contiguous block of pairs x positions of about _CHUNK
+    elements (whole parents, so more when one parent has more children):
+    one pair by _CHUNK positions on long rows, all pairs at once when there
+    are few positions.  Every step writes into g or into chunk arrays, so a
+    draw holds g, two uint64 chunk arrays (three for short rows) and the
+    chunk's codes.
+    """
+    fan = 1 if children is None else int(children)
+    out = np.empty((s, codes.shape[0] * fan))
+    pairs = (s + 1) // 2
+    keys = row_keys(key, 2 * pairs) + _U_PHI  # raw(k, h) = mix(h phi + keys[k])
+    per = max(1, min(codes.shape[0], _CHUNK // fan))  # codes per chunk
+    block = max(1, min(pairs, _CHUNK // (per * fan)))  # pairs per chunk
+    c = np.empty(per * fan, dtype=np.uint64)
+    z, w = np.empty((2, block * per * fan), dtype=np.uint64)
+    # Blocks of several pairs keep r contiguous too; one pair keeps it in
+    # its cosine row, so a long dense row holds no third chunk array.
+    r = np.empty(block * per * fan) if block > 1 else None
+    steps = None if children is None else _index_steps(np.arange(fan))
+    for lo in range(0, codes.shape[0], per):
+        hi = min(lo + per, codes.shape[0])
+        cols = (hi - lo) * fan
+        hphi = c[:cols]
+        if children is None:
+            np.multiply(codes[lo:hi], _U_PHI, out=hphi)
+        else:
+            # One call per child or per parent, whichever is fewer: a
+            # broadcast this narrow would buffer a chunk-sized temporary.
+            grid = hphi.reshape(hi - lo, fan)
+            if fan <= hi - lo:
+                for i in range(fan):
+                    np.add(codes[lo:hi], steps[i], out=grid[:, i])
+            else:
+                for p in range(hi - lo):
+                    np.add(codes[lo + p], steps, out=grid[p])
+            _mix_into(hphi, w[:cols])
+            hphi *= _U_PHI
+        for m in range(0, pairs, block):
+            k = min(block, pairs - m)
+            rows = slice(2 * m, 2 * (m + k))
+            _pairs_into(hphi, keys[rows], out[rows, lo * fan:lo * fan + cols],
+                        z[:k * cols].reshape(k, cols), w[:k * cols].reshape(k, cols),
+                        None if r is None else r[:k * cols].reshape(k, cols))
     return out
+
+
+def _pairs_into(hphi, keys, out, z, w, r):
+    """Rows 2m (cosine) and 2m+1 (sine) of out from the pairs of keys.
+
+    hphi holds h * phi per column; out has 2k rows, or 2k - 1 when the last
+    pair lost its sine row to an odd width.  z and w are contiguous uint64
+    (k, columns) scratch.  r and q live in r, or with r None in the cosine
+    rows, which are then contiguous (k = 1): the values are the same.  The
+    uniforms are built from their bits, [1, 2) under the exponent of 1.0,
+    with no integer to float conversion.
+    """
+    cos, sin = out[0::2], out[1::2]
+    full = sin.shape[0]
+    rad = cos if r is None else r
+    f = z.view(np.float64)
+    t = w.view(np.float64)
+    np.add(hphi, keys[0::2, None], out=z)
+    _mix_into(z, w)
+    z >>= _U12
+    z |= _U_ONE
+    np.subtract(2.0, f, out=rad)  # u1
+    np.log(rad, out=rad)
+    rad *= -2.0
+    np.sqrt(rad, out=rad)  # r
+    np.add(hphi, keys[1::2, None], out=z)
+    _mix_into(z, w)
+    z >>= _U12
+    z |= _U_ONE
+    np.subtract(f, 1.0, out=t)  # u2
+    t *= math.pi
+    np.tan(t, out=t)
+    # At u2 = 1/2, t = 1.6e16 and t^2 stays finite: the cosine is -r.
+    np.multiply(t, t, out=f)
+    np.multiply(t[:full], 2.0, out=sin)
+    np.subtract(1.0, f, out=t)  # 1 - t^2
+    f += 1.0
+    rad /= f  # q
+    sin *= rad[:full]
+    np.multiply(rad, t, out=cos)
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +334,20 @@ def _runs(mu):
 
 
 def sparse_sketch(mu, vals, gam, rows, n_j):
-    """Sketch of one step: a[m] = gam[rows[mu == m]].T @ vals[mu == m].
+    """Sketch of one step: a[m] = gam[:, rows[mu == m]] @ vals[mu == m].
 
     mu (sorted ascending) is each entry's index in the current mode, vals
-    (N, t) its projected row and gam[rows[i]] its Gaussian sketch row: gam
-    holds one row of s per distinct prefix and rows maps the entries to
-    them.  The rows are gathered one mode group at a time, so beside gam
-    and vals the sketch holds one group's rows, never all N of them.  The
-    result has shape (n_j, s, t).
+    (N, t) its projected row and gam[:, rows[i]] its Gaussian sketch
+    column: gam (s, P) holds one column per distinct prefix, as gammas_at
+    draws them, and rows maps the entries to them.  The columns are
+    gathered one mode group at a time, so beside gam and vals the sketch
+    holds one group's columns, never all N of them.  The result has shape
+    (n_j, s, t).
     """
-    a = np.zeros((n_j, gam.shape[1], vals.shape[1]))
+    a = np.zeros((n_j, gam.shape[0], vals.shape[1]))
     bounds = _runs(mu)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # np.take copies whole rows, about 3x faster here than fancy indexing.
-        np.matmul(np.take(gam, rows[lo:hi], axis=0).T, vals[lo:hi], out=a[mu[lo]])
+        np.matmul(np.take(gam, rows[lo:hi], axis=1), vals[lo:hi], out=a[mu[lo]])
     return a
 
 

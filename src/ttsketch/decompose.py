@@ -17,9 +17,13 @@ sketch's rows orthonormal (an RQ factorization), keeps those rows as
 the core and projects b onto them; the first core finally holds the
 projected weights, so evaluating the train applies an orthogonal
 projector to the input.  Every Gaussian entry is a pure function of
-(step, position) through the counter-based stream, which is what lets
-the sparse fast path materialize only the entries of g that meet stored
-data: identical seeds make both paths consume identical random values.
+(step, row, position) through the counter-based stream: row k of step j
+reads the substream derive_key(step key, k) at the position's prefix
+code, built by chained mixing of its indices, and rows 2m and 2m+1 share
+one Box-Muller pair (_kernels.gammas_at).  That is what lets the sparse
+fast path materialize only the entries of g that meet stored data:
+identical seeds make both paths consume identical random values, and
+no two rows or prefixes share a counter, at any order.
 
 One loop (_sketch_sweep) runs the steps for both representations; the
 dense and sparse remainders differ only in their sketch, their projection
@@ -29,6 +33,9 @@ occupied leading position, at most N of them) and the remainder keeps one
 row per entry, entries with equal leading positions split, since their
 contributions add linearly; both contractions are one matrix product per
 mode value, so the cost grows linearly in the order at fixed N and s.
+The dense step derives its lead positions' codes chunk by chunk from the
+parent level's; the sparse sweep keeps one code per entry and steps it
+back one index per step, by the mixer's inverse.
 
 Each sweep's loop bounds its ranks by its unfoldings' rows and columns (a
 sketch takes at most as many rows as the unfolding has), so the entry
@@ -170,10 +177,9 @@ def _admit(x):
 def _decompose(x, sweep):
     """Train and report of admitted x; sweep(x) gives (train, cut energies)."""
     t0 = time.perf_counter()
-    sparse = isinstance(x, SparseTensor)
-    degenerate = not (x.nnz if sparse else x.any())
-    if not (degenerate or sparse):
-        check_finite(x)
+    # Dense input is read twice, by check_finite's min and max, which also
+    # tell whether it is zero.
+    degenerate = not x.nnz if isinstance(x, SparseTensor) else check_finite(x)
     result, discarded = (zero_tt(x.shape), ()) if degenerate else sweep(x)
     report = DecompositionReport(
         result.ranks, tuple(discarded), time.perf_counter() - t0, degenerate
@@ -237,9 +243,8 @@ def tt_svd_truncated(x, target_ranks):
 def _sketch_sweep(x, sketch, rng, remainder):
     """Right-orthogonal train of x; remainder(x) is b in x's representation.
 
-    b gives its sketch(j, s, key, lead), an (s, n_j * t) matrix, its
-    projection project(j, q) onto the rows of q and, after step 2, its
-    first_core().
+    b gives its sketch(j, s, key), an (s, n_j * t) matrix, its projection
+    project(j, q) onto the rows of q and, after step 2, its first_core().
     """
     d = x.ndim
     cores = [None] * d
@@ -252,7 +257,7 @@ def _sketch_sweep(x, sketch, rng, remainder):
         # would make it square (b q^T q = b): the identity step, q None.
         s = min(sketch[j - 2], lead)
         q = None if s >= n_j * t else rq_row_orthonormal(
-            b.sketch(j, s, rng.substream(j).key, lead))[1]
+            b.sketch(j, s, rng.substream(j).key))[1]
         core = np.eye(n_j * t) if q is None else q
         cores[j - 1] = core if j == d else core.reshape(-1, n_j, t)
         t = core.shape[0]
@@ -269,11 +274,17 @@ class _DenseRemainder:
         self.shape = x.shape
         self.b = x.reshape(element_count(x.shape[:-1]), x.shape[-1])
 
-    def sketch(self, j, s, key, lead):
-        # The Gaussian block is freed by the product that consumes it, so
-        # it never lives beside the next step's b: a step holds b, one
-        # draw of s * lead normals and then b beside its projection.
-        return _kernels.standard_normals(key, s * lead).reshape(s, lead) @ self.b
+    def sketch(self, j, s, key):
+        # Column p of the Gaussian block is drawn at the code of lead
+        # position p; gammas_at derives those codes chunk by chunk from the
+        # parent level's, so no code array is as long as the block's rows.
+        # The block is freed by the product that consumes it, so it never
+        # lives beside the next step's b: a step holds b, one block of
+        # s * lead normals and then b beside its projection.
+        parents = np.zeros(1, dtype=np.uint64)
+        for n in self.shape[:j - 2]:
+            parents = _kernels.extend_codes(parents[:, None], np.arange(n)).reshape(-1)
+        return _kernels.gammas_at(parents, s, key, self.shape[j - 2]) @ self.b
 
     def project(self, j, q):
         b = self.b if q is None else self.b @ q.T
@@ -283,59 +294,46 @@ class _DenseRemainder:
         return self.b.copy()  # a view of x if every step was the identity
 
 
-def _prefix_codes(idx, shape):
-    """Row-major codes of the index prefixes, reduced mod 2**64.
-
-    Row k holds the code of idx[:, :k], built left to right by Horner's
-    rule in wrapping uint64 arithmetic.  The counters of the sketch only
-    need the codes mod 2**64, so shapes past 2**64 elements need no
-    wider integers.
-    """
-    nnz, d = idx.shape
-    codes = np.zeros((d, nnz), dtype=np.uint64)
-    for k in range(1, d):
-        np.multiply(codes[k - 1], np.uint64(shape[k - 1]), out=codes[k])
-        codes[k] += idx[:, k - 1].astype(np.uint64)
-    return codes
-
-
 class _SparseRemainder:
     """b as one row of length t per stored entry, rows in the entries' `order`.
 
-    The Gaussian row of an entry depends on its prefix idx[:, :j-1] alone.
-    The entries are in canonical order, so those sharing a prefix are
-    adjacent: a new prefix starts wherever an entry first differs from the
-    one before it in a mode below j-1.  The runs come from the indices, not
-    the codes, which wrap mod 2**64.
+    The Gaussian column of an entry depends on its prefix idx[:, :j-1]
+    alone, through the prefix's code: `codes` holds each entry's code at
+    the current step, in canonical order, and steps back one index per
+    step (extend_codes is invertible), so one level is ever held.  The
+    entries are in canonical order, so those sharing a prefix are adjacent:
+    a new prefix starts wherever an entry first differs from the one before
+    it in a mode below j-1.  The runs come from the indices, not the codes.
     """
 
     def __init__(self, xs):
         self.idx, self.shape = xs.idx, xs.shape
-        self.heads = _prefix_codes(xs.idx, xs.shape)
+        self.codes = np.zeros(xs.nnz, dtype=np.uint64)
+        for k in range(xs.ndim - 1):
+            self.codes = _kernels.extend_codes(self.codes, xs.idx[:, k])
         self.split = first_differing_mode(xs.idx)
         self.vals = xs.values[:, None]
         self.order = np.arange(xs.nnz)
-        self._sort(xs.ndim)
+        self._sort(xs.ndim, xs.idx[:, -1])
 
-    def _sort(self, j):
-        # Rows by mode j for step j; stable, so the order is reproducible,
-        # and a narrow key lets numpy use its radix sort.
+    def _sort(self, j, column):
+        # Rows by mode j for step j, whose indices in canonical order are
+        # column; stable, so the order is reproducible, and a narrow key
+        # lets numpy use its radix sort.
         n_j = self.shape[j - 1]
-        mu = self.idx[self.order, j - 1]
+        mu = column[self.order]
         by_mode = np.argsort(mu.astype(np.min_scalar_type(n_j - 1)), kind="stable")
         self.order = self.order[by_mode]
         self.mu = mu[by_mode]
         self.vals = self.vals[by_mode]
 
-    def sketch(self, j, s, key, lead):
+    def sketch(self, j, s, key):
         new = self.split < j - 1  # split[0] == 0, so entry 0 starts a run
-        # One row per prefix, gathered to the entries one mode group at a
-        # time and freed on return: a step holds the projected rows, the
-        # rows per prefix and one group's gathered rows, then the projected
-        # rows beside the next ones.
-        gam = _kernels.gammas_at(
-            self.heads[j - 1][new], s, np.uint64(lead % 2 ** 64), np.uint64(key)
-        )
+        # One column per prefix, gathered to the entries one mode group at
+        # a time and freed on return: a step holds the projected rows, the
+        # columns per prefix and one group's gathered columns, then the
+        # projected rows beside the next ones.
+        gam = _kernels.gammas_at(self.codes[new], s, key)
         run = (np.cumsum(new) - 1)[self.order]
         a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, self.shape[j - 1])
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(s, -1)
@@ -346,7 +344,10 @@ class _SparseRemainder:
         w = q.reshape(q.shape[0], n_j, -1).transpose(1, 0, 2)
         self.vals = _kernels.sparse_update(self.mu, self.vals, np.ascontiguousarray(w))
         if j > 2:
-            self._sort(j - 1)
+            # One strided read of the column serves both.
+            column = np.ascontiguousarray(self.idx[:, j - 2])
+            self.codes = _kernels.parent_codes(self.codes, column)
+            self._sort(j - 1, column)
 
     def first_core(self):
         # bincount adds each column in entry order, as a scatter-add would.

@@ -7,7 +7,10 @@ counters 2i and 2i+1.  Its cosine is taken from a tangent (see
 _kernels), so it agrees with the np.cos form to 2e-15 and its last bits
 follow numpy's tan, as they followed libm's cos before.  Substreams are
 derived by index, so independent objects (cores, samples, sketch steps)
-get decorrelated streams without any shared mutable state.  Repeated
+get decorrelated streams without any shared mutable state.  The sketch
+of a decomposition step draws through its step's key in a layout of its
+own (one substream per sketch row, read at prefix codes, two rows per
+Box-Muller pair; see _kernels.gammas_at), not through normals().  Repeated
 calls with the same stream and arguments return identical values by
 construction, which is what makes decompositions and experiments
 reproducible.

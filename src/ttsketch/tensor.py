@@ -59,13 +59,17 @@ def check_dense_size(shape):
 
 
 def check_finite(x, what="dense tensor"):
-    """Reject a dense tensor holding NaN or inf.
+    """Reject a dense tensor holding NaN or inf; True if every entry is 0.
 
     A NaN makes min and max NaN and an inf makes one of them infinite, so
-    two reductions find both without an x.size boolean mask.
+    two reductions find both without an x.size boolean mask.  Both start
+    from 0, so they read 0 and 0 exactly when x has no nonzero entry (-0.0
+    included, or no entry at all).
     """
-    if not (np.isfinite(x.min()) and np.isfinite(x.max())):
+    lo, hi = x.min(initial=0.0), x.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{what} entries must be finite")
+    return lo == hi == 0.0
 
 
 def as_real(a, what):

@@ -6,11 +6,15 @@ bit mixing) and shares no code with the package, so agreement between
 the two is meaningful.  The exceptions keep the package's arithmetic so
 that each can be compared bit for bit: ref_normals_vec takes its cosine
 by the package's tan identity (ref_normals_cos_vec takes it by np.cos,
-to bound the distance between the two), ref_randomized_sparse changes only
-how the sketch rows are drawn, ref_randomized_dense is the dense sweep in
-its own loop, kept word for word but for its identity steps and its
-clamp of each width to the unfolding's rows (both keep, with draw_all, the
-sweep that draws at every step),
+to bound the distance between the two), ref_sketch_rows_vec forms the
+sketch's pairs with the package's float operations in its order
+(ref_sketch_entry takes them by python ints and math.cos / math.sin),
+ref_randomized_sparse runs the package's kernels but draws one sketch
+column per entry through ref_sketch_rows_vec, ref_randomized_dense is the
+dense sweep in its own loop, drawing through ref_sketch_rows_vec, kept
+word for word but for its identity steps and its clamp of each width to
+the unfolding's rows (both keep, with draw_all, the sweep that draws at
+every step),
 ref_draw_tail_cores right-orthogonalizes by hand with the package's RQ,
 and ref_orthogonalize_right and ref_tt_round are the train operations
 before their refolds became reshapes, kept word for word but for
@@ -22,10 +26,14 @@ kept word for word as the reference for the table that replaced it.
 matricize, contract and inner are the dense mode-wise helpers the tests
 unfold and contract with, checked against naive_matricize, naive_contract
 and naive_inner.
-peak_bytes is the allocation peak that the memory bounds measure.
+peak_bytes is the allocation peak that the memory bounds measure,
+binary_class_b builds the sparse input that row-major codes mod 2**64
+could not tell apart, and normals_at draws the package's stream at explicit counters through its
+chunk kernel, for counters that standard_normals does not reach.
 """
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -45,6 +53,16 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def normals_at(key, counters):
+    """Normals of the stream `key` at explicit counters, _CHUNK at a time."""
+    from ttsketch import _kernels as K
+
+    out = np.empty(counters.shape[0])
+    for lo in range(0, counters.shape[0], K._CHUNK):
+        K._normals_into(key, counters[lo:lo + K._CHUNK], out[lo:lo + K._CHUNK])
+    return out
 
 
 def ref_mix(z):
@@ -76,20 +94,25 @@ def ref_normal(key, i):
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+def _ref_mix_vec(z):
+    """ref_mix on a uint64 array, wrapping as python ints reduced mod 2**64."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_M2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_values_vec(key, c):
+    """ref_value at the uint64 counters c."""
+    return _ref_mix_vec(np.uint64(key) + (c + np.uint64(1)) * np.uint64(_PHI))
+
+
 def _ref_uniforms_vec(key, counters):
     """Both Box-Muller uniforms at the given counters, as in ref_normal."""
-    def values(c):
-        z = np.uint64(key) + (c + np.uint64(1)) * np.uint64(_PHI)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_M1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_M2)
-        z ^= z >> np.uint64(31)
-        return z
-
     c2 = np.asarray(counters).astype(np.uint64) * np.uint64(2)
-    v1 = values(c2)
-    v2 = values(c2 + np.uint64(1))
+    v1 = _ref_values_vec(key, c2)
+    v2 = _ref_values_vec(key, c2 + np.uint64(1))
     u1 = ((v1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
     u2 = (v2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     return u1, u2
@@ -113,6 +136,83 @@ def ref_normals_cos_vec(key, counters):
     """ref_normals_vec with the cosine taken by np.cos(2 pi u2) directly."""
     u1, u2 = _ref_uniforms_vec(key, counters)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+# The sketch's layout: prefix codes by chained mixing, one substream per
+# sketch row, read at the code, and one Box-Muller pair per two rows.
+
+def ref_code(prefix):
+    """Code of an index prefix: h = 0, then h = mix(h + (i + 1) phi) per index."""
+    h = 0
+    for i in prefix:
+        h = ref_mix(h + (int(i) + 1) * _PHI)
+    return h
+
+
+def ref_child_codes_vec(codes, n):
+    """Codes of the n children of each code, in row-major order."""
+    steps = (np.arange(n, dtype=np.uint64) + np.uint64(1)) * np.uint64(_PHI)
+    return _ref_mix_vec(np.asarray(codes, dtype=np.uint64)[:, None] + steps[None, :]).reshape(-1)
+
+
+def ref_level_codes_vec(shape):
+    """ref_code of every index prefix over `shape`, in row-major order."""
+    codes = np.zeros(1, dtype=np.uint64)
+    for n in shape:
+        codes = ref_child_codes_vec(codes, n)
+    return codes
+
+
+def binary_class_b(d):
+    """Eight entries at order d whose row-major codes collide mod 2**64.
+
+    Entry e (0-7) holds e + 1: modes 0-2 hold the bits of e, the last three
+    modes the same bits reversed, and every middle mode is 1.  Past order
+    66 the weights of modes 0-2 in a row-major position are multiples of
+    2**64, so codes reduced mod 2**64 would not tell those prefixes apart.
+    """
+    from ttsketch import SparseTensor
+
+    e = np.arange(8)
+    bits = (e[:, None] >> np.arange(2, -1, -1)) & 1
+    idx = np.ones((8, d), dtype=np.int64)
+    idx[:, :3] = bits
+    idx[:, -3:] = bits[:, ::-1]
+    return SparseTensor((2,) * d, idx, e + 1.0)
+
+
+def _ref_unit(v):
+    """The float in [1, 2) whose 52 mantissa bits are the top bits of v."""
+    return struct.unpack("<d", struct.pack("<Q", (v >> 12) | 0x3FF0000000000000))[0]
+
+
+def ref_sketch_entry(step_key, k, h):
+    """Sketch row k at code h: rows 2m and 2m+1 are r cos and r sin of the
+    pair drawn from substreams 2m and 2m+1 at counter h."""
+    m = k // 2
+    u1 = 2.0 - _ref_unit(ref_value(ref_subkey(step_key, 2 * m), h))
+    u2 = _ref_unit(ref_value(ref_subkey(step_key, 2 * m + 1), h)) - 1.0
+    r = math.sqrt(-2.0 * math.log(u1))
+    return r * (math.sin if k % 2 else math.cos)(2.0 * math.pi * u2)
+
+
+def ref_sketch_rows_vec(step_key, codes, s):
+    """Rows 0..s-1 of the sketch at the given codes, unchunked, one pair of
+    rows at a time: the package's float operations in its order."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    one = np.uint64(0x3FF0000000000000)
+    out = np.empty((s, codes.shape[0]))
+    for k in range(0, s, 2):
+        units = [((_ref_values_vec(ref_subkey(step_key, row), codes) >> np.uint64(12)) | one)
+                 .view(np.float64) for row in (k, k + 1)]
+        r = np.sqrt(np.log(2.0 - units[0]) * -2.0)
+        t = np.tan((units[1] - 1.0) * math.pi)
+        t2 = t * t
+        q = r / (t2 + 1.0)
+        out[k] = q * (1.0 - t2)
+        if k + 1 < s:
+            out[k + 1] = (t * 2.0) * q
+    return out
 
 
 def ref_first_distinct(rows, count):
@@ -150,54 +250,46 @@ def ref_index(key, counter, bound):
     return ((ref_value(key, counter) >> 11) * bound) >> 53
 
 
-def ref_step_heads(idx, shape):
-    """Per-step sketch counters of the sparse path, via python-int codes.
+def ref_step_codes(idx, shape):
+    """Per-step sketch codes of the sparse path, by python-int mixing.
 
-    Yields (j, mu, heads, p_mod) for the steps j = d..2: each entry's
-    full row-major position is a python int, mu = code % n_j and the head
-    code // n_j are peeled off one mode at a time, and the heads and the
-    leading dimension p_mod are reduced mod 2**64 only at the end.
+    Yields (j, mu, codes) for the steps j = d..2: mu is each entry's index
+    in mode j-1 and codes the ref_code of its prefix idx[:, :j-1].
     """
     d = len(shape)
-    codes = []
+    chains = []
     for row in idx:
-        pos = 0
-        for k in range(d):
-            pos = pos * int(shape[k]) + int(row[k])
-        codes.append(pos)
-    space = 1
-    for n in shape:
-        space *= int(n)
+        h, chain = 0, [0]
+        for i in row[:-1]:
+            h = ref_mix(h + (int(i) + 1) * _PHI)
+            chain.append(h)
+        chains.append(chain)
     for j in range(d, 1, -1):
-        n_j = int(shape[j - 1])
-        space //= n_j
-        mu = np.array([c % n_j for c in codes], dtype=np.int64)
-        codes = [c // n_j for c in codes]
-        heads = np.array([c % 2 ** 64 for c in codes], dtype=np.uint64)
-        yield j, mu, heads, space % 2 ** 64
+        mu = np.array([int(row[j - 1]) for row in idx], dtype=np.int64)
+        yield j, mu, np.array([chain[j - 1] for chain in chains], dtype=np.uint64)
 
 
 def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
-    """Cores of the sparse randomized sweep, drawing one row per entry.
+    """Cores of the sparse randomized sweep, drawing one column per entry.
 
-    The per-entry draw: every step asks gammas_at for the Gaussian row of
-    each stored entry, so entries sharing a prefix draw the same row again.
-    The bit-identity tests compare the package's one-row-per-prefix draw
-    with it, so unlike the rest of this module it runs the package's own
-    kernels, RQ and prefix codes: only the draw (each entry maps to its own
-    row) and the first core's scatter-add (np.add.at here) may differ.
+    The per-entry draw: every step draws the Gaussian column of each stored
+    entry at its python-int prefix code (ref_step_codes) through
+    ref_sketch_rows_vec, so entries sharing a prefix draw the same column
+    again.  The bit-identity tests compare the package's one-column-per-
+    prefix draw with it, so unlike the rest of this module it runs the
+    package's own sketch and update kernels and RQ: only the codes and the
+    draw and the first core's scatter-add (np.add.at here) are its own.
     `sketch` is one width per edge; a step takes at most as many rows as
     its unfolding has (lead).  A step whose width covers its n_j * t
     columns is the identity and draws nothing; with draw_all it draws and
     factors anyway, as the sweep did before it had identity steps.
     """
     from ttsketch import _kernels as K
-    from ttsketch.decompose import _prefix_codes
     from ttsketch.linalg import rq_row_orthonormal
 
     shape = xs.shape
     d = len(shape)
-    heads = _prefix_codes(xs.idx, shape)
+    codes = {j: c for j, _, c in ref_step_codes(xs.idx, shape)}
     vals = xs.values[:, None]
     cores = [None] * d
     lead = 1
@@ -217,10 +309,7 @@ def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
         if s_prev >= n_j * t_dim and not draw_all:
             q = np.eye(n_j * t_dim)
         else:
-            key = rng.substream(j).key
-            gam = K.gammas_at(
-                heads[j - 1][order], s_prev, np.uint64(lead % 2 ** 64), np.uint64(key)
-            )
+            gam = ref_sketch_rows_vec(rng.substream(j).key, codes[j][order], s_prev)
             a_by_mode = K.sparse_sketch(mu, vals, gam, np.arange(len(mu)), n_j)
             a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
                 s_prev, n_j * t_dim
@@ -243,15 +332,15 @@ def ref_randomized_dense(x, sketch, rng, draw_all=False):
     """Train of the dense randomized sweep, as written in its own loop.
 
     The dense sweep before the dense and sparse paths shared one loop,
-    kept word for word but for its identity steps and its width clamp: the
-    bit-identity test compares the package's shared loop with it.  `x` is
+    kept word for word but for its identity steps, its width clamp and its
+    draw, which is ref_sketch_rows_vec at the codes of every lead position:
+    the bit-identity test compares the package's shared loop with it.  `x` is
     a float64 array, `sketch` one width per edge; a step takes at most as
     many rows as its unfolding has (lead).  A step whose width covers its
     n_j * t columns keeps eye(n_j * t) as its core and b as it is; with
     draw_all it draws, factors and projects anyway, as the sweep did
     before it had identity steps.
     """
-    from ttsketch import _kernels
     from ttsketch.linalg import rq_row_orthonormal
     from ttsketch.tensor import element_count
     from ttsketch.tt import TTTensor
@@ -273,7 +362,7 @@ def ref_randomized_dense(x, sketch, rng, draw_all=False):
             # The Gaussian block is freed by the product that consumes it, so
             # it never lives beside the next step's b: a step holds b, one
             # draw of s_prev * lead normals and then b beside its projection.
-            a = _kernels.standard_normals(key, s_prev * lead).reshape(s_prev, lead) @ b
+            a = ref_sketch_rows_vec(key, ref_level_codes_vec(shape[:j - 1]), s_prev) @ b
             _, q = rq_row_orthonormal(a)
             # q keeps min(s_prev, n_j * t_dim) rows: a sketch wider than the
             # unfolding clamps to the feasible width near the right boundary.

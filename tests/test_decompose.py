@@ -280,13 +280,15 @@ def test_randomized_is_orthogonal_projection():
 
 
 def test_randomized_matrix_case_matches_range_finder():
-    # for matrices the sketch step and the range finder use the same
-    # draws, so both project onto the same subspace
+    # For matrices the sketch step is the range finder of x.T whose test
+    # matrix is the sketch's draw (row k at the code of row i of x), so
+    # both project onto the same subspace.
     rng = RngStream(67)
     x = gaussian_dense((8, 6), rng.substream(0))
     seed = rng.substream(1)
     t, _ = randomized_tt_svd(x, (3,), seed)
-    q = randomized_range(x.T, OversamplingSpec(3), seed.substream(2))
+    g = o.ref_sketch_rows_vec(seed.substream(2).key, o.ref_level_codes_vec((8,)), 3)
+    q, _ = np.linalg.qr(x.T @ g.T)
     p_tt = t.cores[1].T @ t.cores[1]
     p_rf = q @ q.T
     assert np.linalg.norm(p_tt - p_rf) < 1e-10
@@ -343,6 +345,37 @@ def test_non_finite_dense_input_rejected(decompose, bad):
     x[2, 0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         decompose(x)
+
+
+@pytest.mark.parametrize("entries, degenerate", [
+    ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0], True),
+    ([-0.0, -0.0, -0.0, -0.0, -0.0, -0.0], True),
+    ([0.0, -0.0, 0.0, -0.0, -0.0, 0.0], True),
+    ([0.0, 0.0, 5e-324, 0.0, 0.0, 0.0], False),
+    ([0.0, 0.0, 0.0, 0.0, 0.0, -5e-324], False),
+    ([0.0, np.nan, 0.0, 0.0, 0.0, 0.0], None),
+    ([-0.0, 0.0, 0.0, np.inf, 0.0, 0.0], None),
+    ([0.0, 0.0, 0.0, 0.0, -np.inf, 0.0], None),
+    ([np.inf, -np.inf, 0.0, 0.0, 0.0, 0.0], None),
+    ([1.0, np.nan, -1.0, 0.0, 0.0, 0.0], None),
+], ids=["zero", "negative-zero", "signed-zeros", "subnormal", "negative-subnormal",
+        "nan-among-zeros", "inf-among-zeros", "minus-inf-among-zeros", "both-infs",
+        "nan-among-values"])
+@pytest.mark.parametrize("decompose", [
+    lambda x: tt_svd_exact(x),
+    lambda x: tt_svd_truncated(x, 2),
+    lambda x: randomized_tt_svd(x, 2, RngStream(72)),
+], ids=["exact", "truncated", "randomized"])
+def test_admission_tells_zero_from_non_finite(decompose, entries, degenerate):
+    # One min and one max decide both: a tensor of zeros of either sign is
+    # degenerate, any NaN or inf is refused, whatever else is stored.
+    x = np.array(entries).reshape(3, 2)
+    if degenerate is None:
+        with pytest.raises(ValueError, match="dense tensor entries must be finite"):
+            decompose(x)
+    else:
+        _, report = decompose(x)
+        assert report.degenerate == degenerate
 
 
 def test_nan_relative_tolerance_rejected():
@@ -436,15 +469,22 @@ def test_sparse_binary_order_60_exact():
         assert abs(_binary_energy_lost(60, seed)) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "normal i reads raw counters 2i and 2i+1 mod 2**64, so sketch rows k, k' "
-    "at counters k*L + h coincide once L*(k - k') = 0 mod 2**63; with binary "
-    "modes L = 2**(j-1), so at order 80 every step j >= 64 repeats one row of "
-    "g and the sketch loses rank (89-99% of the energy, seeds 0-4)"
-))
 def test_sparse_binary_order_80_exact():
+    # Each sketch row reads its own substream, so rows cannot repeat however
+    # many leading positions a step has (2**79 at order 80).
     for seed in range(5):
         assert abs(_binary_energy_lost(80, seed)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [68, 90])
+def test_sparse_binary_class_b_exact(d):
+    # Eight entries of TT rank <= 8 at width 10: exact, although their
+    # row-major positions agree mod 2**64 in many prefixes (chained prefix
+    # codes do not).
+    xs = o.binary_class_b(d)
+    for seed in range(3):
+        t, _ = randomized_tt_svd(xs, clip_ranks(xs.shape, 10), RngStream(seed))
+        assert abs(1.0 - tt_norm(t) ** 2 / np.sum(xs.values ** 2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

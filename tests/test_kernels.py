@@ -1,5 +1,6 @@
-"""Chunked normals, grouped sparse kernels, uint64 prefix codes, the
-one-row-per-prefix Gaussian draw and the dense sweep against oracles."""
+"""Chunked normals, grouped sparse kernels, chained prefix codes, the
+sketch draw (one column per prefix, two rows per pair) and the dense sweep
+against oracles."""
 
 import math
 from unittest import mock
@@ -15,7 +16,6 @@ from ttsketch import (
     tt_evaluate, tt_svd_truncated,
 )
 from ttsketch import _kernels as K
-from ttsketch.decompose import _prefix_codes
 
 
 C = K._CHUNK
@@ -49,25 +49,39 @@ def test_standard_normals_match_unchunked_stream(count, key):
        st.integers(1, 2 * C + 3), KEYS)
 @settings(max_examples=25, deadline=None)
 def test_normals_at_wrapping_counters(start, count, key):
-    # One normal per head at p_mod = 0: the normals at explicit counters.
     counters = np.uint64(start) + np.arange(count, dtype=np.uint64)  # wraps
-    got = K.gammas_at(counters, 1, 0, np.uint64(key))[:, 0]
-    assert _same_bits(got, o.ref_normals_vec(key, counters))
+    assert _same_bits(o.normals_at(key, counters), o.ref_normals_vec(key, counters))
 
 
-@example(3 * C // 7 + 1, 7, 2 ** 64 - 1, 1)   # N*s_prev not a multiple of C
-@example(5, C + 3, 2 ** 62 + 1, 2)            # one row longer than a chunk
-@example(0, 4, 3, 3)                          # no rows
-@given(st.integers(0, 3 * C // 8), st.integers(1, 40),
-       st.integers(0, 2 ** 64 - 1), KEYS)
+def _codes(n, seed):
+    return np.random.default_rng(seed).integers(0, 2 ** 64, n, dtype=np.uint64,
+                                                endpoint=False)
+
+
+@example(3 * C // 7 + 1, 7, 1)   # n*s not a multiple of C
+@example(5, C + 3, 2)            # more pairs than a chunk has columns
+@example(C + 5, 2, 4)            # one pair, rows longer than a chunk
+@example(0, 4, 3)                # no positions
+@given(st.integers(0, 3 * C // 8), st.integers(1, 40), KEYS)
 @settings(max_examples=25, deadline=None)
-def test_gammas_at_matches_unchunked_stream(n, s_prev, p_mod, key):
-    heads = np.random.default_rng(n + s_prev).integers(
-        0, 2 ** 64, n, dtype=np.uint64, endpoint=False)
-    got = K.gammas_at(heads, s_prev, np.uint64(p_mod), np.uint64(key))
-    ks = np.arange(s_prev, dtype=np.uint64) * np.uint64(p_mod)
-    want = o.ref_normals_vec(key, heads[:, None] + ks[None, :])
-    assert _same_bits(got, want)
+def test_gammas_at_matches_unchunked_stream(n, s, key):
+    codes = _codes(n, n + s)
+    got = K.gammas_at(codes, s, key)
+    assert _same_bits(got, o.ref_sketch_rows_vec(key, codes, s))
+
+
+@example(1, C + 3, 3, 1)    # one parent whose children outnumber a chunk
+@example(C // 2 + 1, 4, 15, 2)   # a long dense level at an odd width
+@example(0, 3, 2, 3)        # no parents
+@given(st.integers(0, 600), st.integers(1, 40), st.integers(1, 9), KEYS)
+@settings(max_examples=25, deadline=None)
+def test_gammas_at_children_match_their_codes(n, fan, s, key):
+    # With children, the chunks derive each position's code from its
+    # parent's: the same draws as at the children's codes themselves.
+    parents = _codes(n, n + fan)
+    got = K.gammas_at(parents, s, key, fan)
+    children = o.ref_child_codes_vec(parents, fan)
+    assert _same_bits(got, o.ref_sketch_rows_vec(key, children, s))
 
 
 def test_chunked_draws_hold_little_beyond_their_output():
@@ -76,9 +90,11 @@ def test_chunked_draws_hold_little_beyond_their_output():
     count = 2 ** 20
     assert o.peak_bytes(lambda: K.standard_normals(12345, count)) < 8 * count + 2 ** 20
     n, s = 80_000, 8
-    heads = np.arange(n, dtype=np.uint64) * np.uint64(2 ** 40 + 1)
-    peak = o.peak_bytes(lambda: K.gammas_at(heads, s, np.uint64(3 ** 30), np.uint64(7)))
-    assert peak < 8 * n * s + 2 ** 20
+    codes = _codes(n, 0)
+    assert o.peak_bytes(lambda: K.gammas_at(codes, s, 7)) < 8 * n * s + 2 ** 20
+    # A dense level: only the parents' codes are held, not one per column.
+    parents = _codes(n // 4, 1)
+    assert o.peak_bytes(lambda: K.gammas_at(parents, s, 7, 4)) < 8 * n * s + 2 ** 20
 
 
 @st.composite
@@ -93,14 +109,15 @@ def kernel_cases(draw):
 
 
 def _step(case):
-    """(n_j, mu, vals, gam, rows, w): gam holds one Gaussian row per prefix,
-    fewer than the entries, and rows maps each entry to its prefix's row."""
+    """(n_j, mu, vals, gam, rows, w): gam holds one Gaussian column per
+    prefix, fewer than the entries, and rows maps each entry to its
+    prefix's column."""
     n_j, mu, s, t, seed = case
     rng = np.random.default_rng(seed)
     mu = np.sort(np.asarray(mu, dtype=np.int64))
     vals = rng.standard_normal((mu.size, t))
-    gam = rng.standard_normal((max(1, mu.size // 2), s))
-    rows = rng.integers(0, gam.shape[0], mu.size)
+    gam = rng.standard_normal((s, max(1, mu.size // 2)))
+    rows = rng.integers(0, gam.shape[1], mu.size)
     w = rng.standard_normal((n_j, s, t))
     return n_j, mu, vals, gam, rows, w
 
@@ -125,8 +142,8 @@ def _with_examples(test):
 def test_sketch_matches_scatter_oracle(case):
     n_j, mu, vals, gam, rows, _ = _step(case)
     a = K.sparse_sketch(mu, vals, gam, rows, n_j)
-    assert a.shape == (n_j, gam.shape[1], vals.shape[1])
-    np.testing.assert_allclose(a, o.ref_sparse_sketch(mu, vals, gam[rows], n_j),
+    assert a.shape == (n_j, gam.shape[0], vals.shape[1])
+    np.testing.assert_allclose(a, o.ref_sparse_sketch(mu, vals, gam[:, rows].T, n_j),
                                rtol=1e-12, atol=1e-12)
     empty = np.setdiff1d(np.arange(n_j), mu)
     assert not a[empty].any()
@@ -162,12 +179,49 @@ def long_sparse(draw):
 
 @given(long_sparse())
 @settings(max_examples=40, deadline=None)
-def test_prefix_codes_match_python_int_heads(x):
-    codes = _prefix_codes(x.idx, x.shape)
-    assert codes.dtype == np.uint64
-    for j, mu, heads, _ in o.ref_step_heads(x.idx, x.shape):
+def test_prefix_codes_match_python_int_codes(x):
+    # Built forward one index at a time, every level is the python-int
+    # chain; stepped back from the last level, every level comes back.
+    d = x.ndim
+    levels = [np.zeros(x.nnz, dtype=np.uint64)]
+    for k in range(d - 1):
+        levels.append(K.extend_codes(levels[-1], x.idx[:, k]))
+    assert levels[-1].dtype == np.uint64
+    for j, mu, codes in o.ref_step_codes(x.idx, x.shape):
         assert np.array_equal(x.idx[:, j - 1], mu)
-        assert np.array_equal(codes[j - 1], heads)
+        assert np.array_equal(levels[j - 1], codes)
+    codes = levels[-1]
+    for k in range(d - 1, 0, -1):
+        codes = K.parent_codes(codes, x.idx[:, k - 1])
+        assert np.array_equal(codes, levels[k - 1])
+
+
+_EDGES = np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=20),
+       st.integers(0, 2 ** 40))
+@settings(max_examples=40, deadline=None)
+def test_parent_codes_invert_extend_codes(values, index):
+    assert int(K._U_M1_INV) * K._M1 % 2 ** 64 == int(K._U_M2_INV) * K._M2 % 2 ** 64 == 1
+    h = np.concatenate([_EDGES, np.array(values, dtype=np.uint64)])
+    for i in (np.zeros(h.size, dtype=np.int64), np.full(h.size, index),
+              np.arange(h.size)):
+        up = K.extend_codes(h, i)
+        assert [int(v) for v in up] == [o.ref_mix((int(a) + (int(b) + 1) * o._PHI) % 2 ** 64)
+                                        for a, b in zip(h, i)]
+        assert np.array_equal(K.parent_codes(up, i), h)
+        # and the other way round: every value is some prefix's code
+        assert np.array_equal(K.extend_codes(K.parent_codes(h, i), i), h)
+
+
+@example(0, 1)
+@example(2 ** 64 - 1, 41)
+@given(KEYS, st.integers(1, 64))
+@settings(max_examples=25, deadline=None)
+def test_row_keys_are_the_substream_keys(key, count):
+    got = K.row_keys(key, count)
+    assert [int(v) for v in got] == [K.derive_key(key, k) for k in range(count)]
 
 
 def _suffix_order(idx, j):
@@ -196,39 +250,37 @@ def _drawing_steps(shape, widths):
 @given(long_sparse(), st.integers(0, 2 ** 16))
 @settings(max_examples=25, deadline=None)
 def test_sketch_gaussians_match_python_int_path(x, seed):
-    # The Gaussian row that each stored entry meets in the sketch is the one
-    # the python-int counters give, bit for bit, and every drawing step
-    # draws one row per distinct index prefix.
+    # The Gaussian column that each stored entry meets in the sketch is the
+    # one its python-int prefix code gives, bit for bit, and every drawing
+    # step draws one column per distinct index prefix, at that prefix's code.
     drawn = []
     sketched = []
     gammas_at = K.gammas_at
     sparse_sketch = K.sparse_sketch
 
-    def spy_gammas(heads, s_prev, p_mod, key):
-        drawn.append((heads.shape[0], int(key)))
-        return gammas_at(heads, s_prev, p_mod, key)
+    def spy_gammas(codes, s, key):
+        drawn.append((codes.copy(), int(key)))
+        return gammas_at(codes, s, key)
 
     def spy_sketch(mu, vals, gam, rows, n_j):
-        sketched.append((mu.copy(), gam[rows]))
+        sketched.append((mu.copy(), gam[:, rows]))
         return sparse_sketch(mu, vals, gam, rows, n_j)
 
     with mock.patch.object(K, "gammas_at", spy_gammas), \
             mock.patch.object(K, "sparse_sketch", spy_sketch):
         randomized_tt_svd(x, (2,) * (x.ndim - 1), RngStream(seed))
     drawing = _drawing_steps(x.shape, (2,) * (x.ndim - 1))
-    steps = [step for step in o.ref_step_heads(x.idx, x.shape) if step[0] in drawing]
+    steps = [step for step in o.ref_step_codes(x.idx, x.shape) if step[0] in drawing]
     assert len(drawn) == len(sketched) == len(steps)
-    for (n_heads, key), (mu, gam), (j, ref_mu, ref_heads, ref_p) in zip(
-            drawn, sketched, steps):
-        assert n_heads == len(np.unique(x.idx[:, :j - 1], axis=0))
+    for (codes, key), (mu, gam), (j, ref_mu, ref_codes) in zip(drawn, sketched, steps):
+        _, first = np.unique(x.idx[:, :j - 1], axis=0, return_index=True)
+        assert np.array_equal(codes, ref_codes[np.sort(first)])
         order = _suffix_order(x.idx, j)
         assert np.array_equal(mu, ref_mu[order])
-        counters = np.array(
-            [[(int(h) + k * ref_p) % 2 ** 64 for k in range(gam.shape[1])]
-             for h in ref_heads[order]], dtype=np.uint64)
-        assert _same_bits(gam, o.ref_normals_vec(key, counters))
-        for k in range(gam.shape[1]):
-            assert abs(gam[0, k] - o.ref_normal(key, int(counters[0, k]))) < 1e-12
+        assert _same_bits(gam, o.ref_sketch_rows_vec(key, ref_codes[order], gam.shape[0]))
+        for k in range(gam.shape[0]):
+            want = o.ref_sketch_entry(key, k, int(ref_codes[order][0]))
+            assert abs(gam[k, 0] - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +313,6 @@ def test_prefix_draw_matches_per_entry_draw(x, data):
     _assert_same_cores(x, widths, data.draw(st.integers(0, 2 ** 16)))
 
 
-def _binary_class_b(d):
-    # Entry e (0-7) holds e + 1: modes 0-2 hold the bits of e, the last
-    # three modes the same bits reversed, and every middle mode is 1.  Past
-    # order 66 the weights of modes 0-2 in a prefix code are multiples of
-    # 2**64, so distinct prefixes share a code.
-    e = np.arange(8)
-    bits = (e[:, None] >> np.arange(2, -1, -1)) & 1
-    idx = np.ones((8, d), dtype=np.int64)
-    idx[:, :3] = bits
-    idx[:, -3:] = bits[:, ::-1]
-    return SparseTensor((2,) * d, idx, e + 1.0)
-
-
 def _one_long_prefix():
     # Nine entries that agree in their first 18 modes.
     idx = np.zeros((9, 20), dtype=np.int64)
@@ -293,8 +332,8 @@ def _random_sparse(n, d, nnz, seed):
     (SparseTensor((3, 4, 5), [[2, 1, 4]], [3.0]), 2),
     (_one_long_prefix(), 4),
     (_random_sparse(2, 80, 60, 1), 20),
-    (_binary_class_b(68), 10),
-    (_binary_class_b(90), 10),
+    (o.binary_class_b(68), 10),
+    (o.binary_class_b(90), 10),
 ], ids=["order-2", "nnz-1", "one-long-prefix", "binary-80",
         "class-b-68", "class-b-90"])
 def test_prefix_draw_matches_per_entry_draw_examples(x, width):
@@ -303,24 +342,25 @@ def test_prefix_draw_matches_per_entry_draw_examples(x, width):
 
 
 @pytest.mark.parametrize("d", [68, 90])
-def test_class_b_input_has_colliding_prefix_codes(d):
-    # The prefixes stay separate runs although their codes coincide, so the
-    # colliding rows keep the values the per-entry draw gives them.
-    x = _binary_class_b(d)
-    codes = _prefix_codes(x.idx, x.shape)
+def test_class_b_prefixes_get_distinct_codes(d):
+    # Row-major position codes reduced mod 2**64 gave the prefixes of this
+    # input equal codes past order 66; chained codes keep them apart, and
+    # every drawing step draws one column per prefix, at distinct codes.
+    x = o.binary_class_b(d)
     prefixes = [len(np.unique(x.idx[:, :k], axis=0)) for k in range(d)]
-    assert any(len(np.unique(codes[k])) < prefixes[k] for k in range(1, d))
-    heads = []
+    for j, _, codes in o.ref_step_codes(x.idx, x.shape):
+        assert len(np.unique(codes)) == prefixes[j - 1]
+    drawn = []
     gammas_at = K.gammas_at
 
-    def spy(h, s_prev, p_mod, key):
-        heads.append(h.shape[0])
-        return gammas_at(h, s_prev, p_mod, key)
+    def spy(codes, s, key):
+        drawn.append(len(np.unique(codes)))
+        return gammas_at(codes, s, key)
 
     with mock.patch.object(K, "gammas_at", spy):
         randomized_tt_svd(x, 10, RngStream(0))
     drawing = _drawing_steps(x.shape, clip_ranks(x.shape, 10))
-    assert heads == [prefixes[j - 1] for j in drawing]
+    assert drawn == [prefixes[j - 1] for j in drawing]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +447,7 @@ def test_identity_steps_draw_and_factor_nothing(sparse):
     keys = {RngStream(4).substream(j).key: j for j in range(2, len(shape) + 1)}
     drawn, factored = [], []
     with _calls(K, "standard_normals", drawn, lambda key, count: keys[int(key)]), \
-            _calls(K, "gammas_at", drawn, lambda heads, s, p, key: keys[int(key)]), \
+            _calls(K, "gammas_at", drawn, lambda codes, s, key, *fan: keys[int(key)]), \
             _calls(decompose, "rq_row_orthonormal", factored, lambda a: a.shape):
         t, _ = randomized_tt_svd(x, widths, RngStream(4))
     assert drawn == drawing
@@ -453,15 +493,15 @@ def test_all_identity_train_holds_no_view_of_the_input(shape, run):
 # What one sweep step holds
 
 def test_sparse_sweep_holds_no_per_level_arrays():
-    # Live at once, beside the input: the prefix codes (d*N uint64), the
-    # result's cores, gammas_at's chunk scratch (its counters and two
-    # uint64 work arrays of _CHUNK entries each) and at most three arrays
-    # of N x s floats: the projected rows, the rows drawn per prefix and
-    # one mode group's rows gathered from them during the sketch, then the
-    # projected rows and the next ones during the update.  Everything else
-    # is O(N) or O(s^2 n).  Gathering the rows of all entries at once, or
-    # one more array of d*N integers, such as a run array kept for every
-    # level, does not fit.
+    # Live at once, beside the input: one level of prefix codes (N uint64,
+    # and the next level while it steps back), the result's cores,
+    # gammas_at's chunk scratch (at most three arrays of _CHUNK entries) and
+    # at most three arrays of N x s floats: the projected rows, the columns
+    # drawn per prefix and one mode group's columns gathered from them
+    # during the sketch, then the projected rows and the next ones during
+    # the update.  Everything else is O(N) or O(s^2 n).  Gathering the
+    # columns of all entries at once, or one more array of d*N integers,
+    # such as the codes or a run array kept for every level, does not fit.
     for x, s in ((_random_sparse(2, 80, 500, 5), 20),
                  (_random_sparse(8, 12, 4000, 5), 16)):
         n = x.nnz
@@ -469,7 +509,7 @@ def test_sparse_sweep_holds_no_per_level_arrays():
         t, _ = randomized_tt_svd(x, widths, RngStream(3))
         cores = sum(c.nbytes for c in t.cores)
         peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
-        assert peak < x.ndim * n * 8 + cores + 3 * C * 8 + 3 * n * s * 8
+        assert peak < 2 * n * 8 + cores + 3 * C * 8 + 3 * n * s * 8
 
 
 def test_dense_sketch_frees_each_gaussian_block():

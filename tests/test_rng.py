@@ -70,14 +70,13 @@ def test_counter_layout_row_major():
     rng = RngStream(5)
     flat = rng.normals(6)
     assert np.array_equal(rng.normals((2, 3)).ravel(), flat)
-    at = K.gammas_at(np.arange(6, dtype=np.uint64), 1, 0, rng.key)[:, 0]
-    assert np.array_equal(at, flat)
+    assert np.array_equal(o.normals_at(rng.key, np.arange(6, dtype=np.uint64)), flat)
 
 
 def test_explicit_counters_match_oracle():
     rng = RngStream(17)
     counters = np.array([3, 10**9, 2**53], dtype=np.uint64)
-    got = K.gammas_at(counters, 1, 0, rng.key)[:, 0]
+    got = o.normals_at(rng.key, counters)
     want = [o.ref_normal(rng.key, int(c)) for c in counters]
     assert np.max(np.abs(got - np.array(want))) < 1e-12
 
@@ -100,7 +99,7 @@ def test_tan_cosine_matches_cos_form():
     for key, start in ranges:
         # the last range wraps mod 2**64 halfway through
         counters = np.uint64(start) + np.arange(n, dtype=np.uint64)
-        got = K.gammas_at(counters, 1, 0, np.uint64(key))[:, 0]
+        got = o.normals_at(key, counters)
         want = o.ref_normals_cos_vec(key, counters)
         assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -123,6 +122,73 @@ def test_moments_and_tails():
         p = math.erfc(c / math.sqrt(2))
         freq = np.count_nonzero(np.abs(z) > c) / n
         assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
+# ---------------------------------------------------------------------------
+# The sketch's draws: two rows per Box-Muller pair, one substream per row
+
+@pytest.fixture(scope="module")
+def sketch_sample():
+    """8 sketch rows at the 4**9 lead positions of a (4,)*10 step, through
+    gammas_at's dense path: 2**20 cosine and 2**20 sine draws."""
+    parents = o.ref_level_codes_vec((4,) * 8)
+    return K.gammas_at(parents, 8, RngStream(2025).substream(10).key, 4)
+
+
+def _assert_standard_normal(z):
+    # Windows as in test_moments_and_tails: 5 standard errors per statistic.
+    n = z.size
+    mean = z.mean()
+    centered = z - mean
+    var = np.mean(centered ** 2)
+    kurtosis = np.mean(centered ** 4) / var ** 2
+    assert abs(mean) < 5 * math.sqrt(1 / n)
+    assert abs(var - 1) < 5 * math.sqrt(2 / n)
+    assert abs(kurtosis - 3) < 5 * math.sqrt(24 / n)
+    for c in (3, 4):
+        p = math.erfc(c / math.sqrt(2))
+        freq = np.count_nonzero(np.abs(z) > c) / n
+        assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("rows", ["cosine", "sine"])
+def test_sketch_rows_moments_and_tails(sketch_sample, rows):
+    _assert_standard_normal(sketch_sample[(0 if rows == "cosine" else 1)::2])
+
+
+def test_sketch_rows_uncorrelated(sketch_sample):
+    # The sample correlation of n independent pairs has standard error
+    # 1/sqrt(n): rows of one pair (cosine, sine of one angle), and rows of
+    # adjacent pairs, each within 5 of them.
+    g = sketch_sample
+    n = g.shape[1]
+    for a, b in [(0, 1), (2, 3), (6, 7), (1, 2), (0, 2), (1, 3), (5, 6)]:
+        assert abs(np.corrcoef(g[a], g[b])[0, 1]) < 5 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 8])
+def test_sketch_row_does_not_depend_on_width(s):
+    # Row k reads its own substream, whatever the width: the first s rows
+    # of a wider draw are the same bits, on both paths.
+    key = RngStream(31).substream(4).key
+    codes = o.ref_level_codes_vec((3, 5, 7))
+    assert np.array_equal(K.gammas_at(codes, s + 3, key)[:s].view(np.uint64),
+                          K.gammas_at(codes, s, key).view(np.uint64))
+    parents = o.ref_level_codes_vec((3, 5))
+    assert np.array_equal(K.gammas_at(parents, s + 3, key, 7)[:s].view(np.uint64),
+                          K.gammas_at(parents, s, key, 7).view(np.uint64))
+
+
+def test_sketch_entries_match_python_int_layout():
+    # Python-int codes, keys and raw values, and math.cos / math.sin of
+    # 2 pi u2: the tangent forms agree to roundoff, radius at most 8.5.
+    key = RngStream(8).substream(3).key
+    prefixes = [(0, 0), (2, 6), (3, 1), (1, 5)]
+    codes = np.array([o.ref_code(p) for p in prefixes], dtype=np.uint64)
+    g = K.gammas_at(codes, 7, key)
+    for col, h in enumerate(codes):
+        for k in range(7):
+            assert abs(g[k, col] - o.ref_sketch_entry(key, k, int(h))) < 1e-14
 
 
 def test_substreams_decorrelated():

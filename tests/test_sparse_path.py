@@ -79,16 +79,22 @@ def test_explicit_widths_clamp_at_both_boundaries(shape_widths, seed):
 
 
 def test_gamma_counters_match_dense_layout():
-    # gamma (k, head) of a step must be the dense g entry at the same
-    # (row, column) position, i.e. the normal draw at counter k*L + head
-    key = np.uint64(K.key_from_seed(99))
-    s_prev, lead = 4, 15
-    dense_g = K.standard_normals(key, s_prev * lead).reshape(s_prev, lead)
-    heads = np.array([0, 3, 7, 14], dtype=np.uint64)
-    gam = K.gammas_at(heads, s_prev, np.uint64(lead), key)
-    for u, h in enumerate(heads):
-        for k in range(s_prev):
-            assert gam[u, k] == dense_g[k, int(h)]
+    # Column u of a sparse step's draw, at the code of prefix u, must be the
+    # dense g entry at the same (row, column) position: the dense block's
+    # column p is drawn at the code of lead position p, derived from its
+    # parent's code.
+    key = K.key_from_seed(99)
+    s, shape = 5, (3, 5)
+    parents = K.extend_codes(np.zeros((1, 1), dtype=np.uint64), np.arange(shape[0]))
+    dense_g = K.gammas_at(parents.reshape(-1), s, key, shape[1])
+    positions = [0, 3, 7, 14]
+    codes = np.zeros(len(positions), dtype=np.uint64)
+    for i in np.array(np.unravel_index(positions, shape)):
+        codes = K.extend_codes(codes, i)
+    gam = K.gammas_at(codes, s, key)
+    for u, p in enumerate(positions):
+        for k in range(s):
+            assert gam[k, u] == dense_g[k, p]
 
 
 def test_single_entry_exact():
