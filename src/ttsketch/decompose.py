@@ -25,9 +25,9 @@ fast path materialize only the entries of g that meet stored data:
 identical seeds make both paths consume identical random values, and
 no two rows or prefixes share a counter, at any order.
 
-One loop (_sketch_sweep) runs the steps for both representations; the
-dense and sparse remainders differ only in their sketch, their projection
-and their first core.  For sparse input with N stored entries the sketch
+One loop (_sketch_sweep) runs the steps for both representations and
+for ALS (als); the remainders differ only in their sketch, projection
+and first core.  For sparse input with N stored entries the sketch
 draws s Gaussian entries per distinct index prefix (one column of g per
 occupied leading position, at most N of them) and the remainder keeps one
 row per entry, entries with equal leading positions split, since their
@@ -240,19 +240,18 @@ def tt_svd_truncated(x, target_ranks):
 # ---------------------------------------------------------------------------
 # randomized sketch
 
-def _sketch_sweep(x, sketch, rng, remainder):
-    """Right-orthogonal train of x; remainder(x) is b in x's representation.
+def _sketch_sweep(b, sketch, rng):
+    """Right-orthogonal train of the remainder b of a tensor of b.shape.
 
     b gives its sketch(j, s, key), an (s, n_j * t) matrix, its projection
     project(j, q) onto the rows of q and, after step 2, its first_core().
     """
-    d = x.ndim
+    d = len(b.shape)
     cores = [None] * d
-    b = remainder(x)
     t = 1
-    lead = element_count(x.shape[:-1])  # rows of the unfolding at step j
+    lead = element_count(b.shape[:-1])  # rows of the unfolding at step j
     for j in range(d, 1, -1):
-        n_j = x.shape[j - 1]
+        n_j = b.shape[j - 1]
         # q keeps min(s, n_j * t) rows; a sketch covering the n_j * t columns
         # would make it square (b q^T q = b): the identity step, q None.
         s = min(sketch[j - 2], lead)
@@ -262,7 +261,7 @@ def _sketch_sweep(x, sketch, rng, remainder):
         cores[j - 1] = core if j == d else core.reshape(-1, n_j, t)
         t = core.shape[0]
         b.project(j, q)
-        lead //= x.shape[j - 2]
+        lead //= b.shape[j - 2]
     cores[0] = b.first_core()
     return TTTensor(cores, ortho="right")
 
@@ -377,4 +376,4 @@ def randomized_tt_svd(x, sketch_ranks, rng):
     x = _admit(x)
     sketch = integral_ranks(sketch_ranks, x.ndim - 1)
     remainder = _SparseRemainder if isinstance(x, SparseTensor) else _DenseRemainder
-    return _decompose(x, lambda x: (_sketch_sweep(x, sketch, rng, remainder), ()))
+    return _decompose(x, lambda x: (_sketch_sweep(remainder(x), sketch, rng), ()))

@@ -73,8 +73,10 @@ def check_finite(x, what="dense tensor"):
 
 
 def as_real(a, what):
-    """a as a float64 array; complex input, whose imaginary part the cast
-    would drop, raises ValueError.  The check reads the dtype only."""
+    """a as a float64 array; a SparseTensor, or complex input whose imaginary
+    part the cast would drop, raises ValueError.  The check reads the dtype."""
+    if isinstance(a, SparseTensor):
+        raise ValueError(f"{what} must be a dense array, got a SparseTensor")
     a = np.asarray(a)
     if a.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got dtype {a.dtype}")

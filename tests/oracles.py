@@ -15,6 +15,8 @@ dense sweep in its own loop, drawing through ref_sketch_rows_vec, kept
 word for word but for its identity steps and its clamp of each width to
 the unfolding's rows (both keep, with draw_all, the sweep that draws at
 every step),
+ref_als_half_sweep is the ALS half sweep in its own loop, with the
+package's QR, kept word for word as the reference of the shared loop's,
 ref_draw_tail_cores right-orthogonalizes by hand with the package's RQ,
 and ref_orthogonalize_right and ref_tt_round are the train operations
 before their refolds became reshapes, kept word for word but for
@@ -375,6 +377,54 @@ def ref_randomized_dense(x, sketch, rng, draw_all=False):
         t_dim = t_next
     cores[0] = b
     return TTTensor(cores, ortho="right")
+
+
+# The ALS half sweep as it was in its own loop, before it ran through the
+# randomized sweep's: the tail matrices built up front, one QR per step.
+# Word for word apart from the ref_ names and the imports.
+
+def _ref_tail_matrices(shape, cores):
+    # tails[j]: the chain of cores j..d as a (prod(n_j..n_d), r_{j-1}) matrix.
+    d = len(shape)
+    tails = [None] * (d + 1)
+    tails[d] = cores[d - 1].T
+    for j in range(d - 1, 1, -1):
+        w = cores[j - 1]
+        folded = np.tensordot(w, tails[j + 1], axes=([2], [1]))
+        tails[j] = folded.transpose(1, 2, 0).reshape(-1, w.shape[0])
+    return tails
+
+
+def ref_als_half_sweep(f, tail_cores):
+    """Left-orthogonal train and objectives of ALS's own half sweep of f
+    from the right-orthogonal cores 2..d (entry 0 unread)."""
+    from ttsketch.linalg import qr
+    from ttsketch.tensor import element_count
+    from ttsketch.tt import TTTensor
+
+    shape = f.shape
+    d = len(shape)
+    tails = _ref_tail_matrices(shape, tail_cores)
+    f_norm2 = float(np.dot(f.ravel(), f.ravel()))
+    objectives = []
+    cores = [None] * d
+    work = f.reshape(1, -1)
+    r_prev = 1
+    for i in range(1, d + 1):
+        n_i = shape[i - 1]
+        if i < d:
+            rest = element_count(shape[i:])
+            u_mat = work.reshape(r_prev * n_i, rest) @ tails[i + 1]
+            objectives.append(max(f_norm2 - float(np.sum(u_mat ** 2)), 0.0))
+            q, _ = qr(u_mat)
+            cores[i - 1] = q if i == 1 else q.reshape(r_prev, n_i, q.shape[1])
+            work = q.T @ work.reshape(r_prev * n_i, rest)
+            r_prev = q.shape[1]
+        else:
+            u_mat = work.reshape(r_prev, n_i)
+            objectives.append(max(f_norm2 - float(np.sum(u_mat ** 2)), 0.0))
+            cores[i - 1] = u_mat
+    return TTTensor(cores, ortho="left"), objectives
 
 
 def ref_draw_tail_cores(shape, ranks, rng):

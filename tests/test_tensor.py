@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as o
 from ttsketch import RngStream, SparseTensor
-from ttsketch.tensor import check_dense_size
+from ttsketch.tensor import as_real, check_dense_size
 
 
 def _graded_tensor():
@@ -253,3 +253,11 @@ def test_sparse_complex_values_rejected(values):
     # imaginary part of an array and fail with a TypeError on a list.
     with pytest.raises(ValueError, match="sparse values must be real"):
         SparseTensor((2, 3), [[0, 1]], values)
+
+
+def test_as_real_refuses_a_sparse_tensor():
+    # np.asarray would wrap it in an object array, whose cast raises a
+    # TypeError that names no reader.
+    xs = SparseTensor((2, 3), [[0, 1]], [1.0])
+    with pytest.raises(ValueError, match="target must be a dense array, got a SparseTensor"):
+        as_real(xs, "target")
