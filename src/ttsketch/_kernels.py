@@ -26,10 +26,11 @@ sketch rows 2m and 2m+1.  Each row reads its own substream at the
 position's prefix code, so no two rows or positions share a counter at
 any order, and the chunks are pairs x positions blocks written in place.
 
-The sketch contractions take the stored entries sorted by their index in
+The sketch contractions take the sweep's rows sorted by their index in
 the current mode and run one matrix product per run of equal mode
-values, so a step costs O(N*s*t) in BLAS-3 calls for N entries, s sketch
-rows and t columns.
+values, so step j costs O(P_j*s*t) in BLAS-3 calls for its P_j <= N rows,
+one per distinct index prefix of length j of the N stored entries, s
+sketch rows and t columns.
 """
 
 import math
@@ -325,7 +326,7 @@ def _pairs_into(hphi, keys, out, z, w, r):
 
 
 # ---------------------------------------------------------------------------
-# Sparse sketch step, entries sorted by mode index
+# Sparse sketch step, rows sorted by mode index
 
 def _runs(mu):
     """Start offsets of the runs of equal values in sorted mu, then len(mu)."""
@@ -336,12 +337,12 @@ def _runs(mu):
 def sparse_sketch(mu, vals, gam, rows, n_j):
     """Sketch of one step: a[m] = gam[:, rows[mu == m]] @ vals[mu == m].
 
-    mu (sorted ascending) is each entry's index in the current mode, vals
-    (N, t) its projected row and gam[:, rows[i]] its Gaussian sketch
+    mu (sorted ascending) is each row's index in the current mode, vals
+    (R, t) its projected row and gam[:, rows[i]] its Gaussian sketch
     column: gam (s, P) holds one column per distinct prefix, as gammas_at
-    draws them, and rows maps the entries to them.  The columns are
+    draws them, and rows maps the rows to them.  The columns are
     gathered one mode group at a time, so beside gam and vals the sketch
-    holds one group's columns, never all N of them.  The result has shape
+    holds one group's columns, never all R of them.  The result has shape
     (n_j, s, t).
     """
     a = np.zeros((n_j, gam.shape[0], vals.shape[1]))
@@ -355,7 +356,7 @@ def sparse_update(mu, vals, w):
     """Projection of one step: row i of the result is w[mu[i]] @ vals[i].
 
     mu (sorted ascending) indexes the (n_j, s, t) blocks w of the new
-    core; every entry keeps its own row, so nothing is scattered.
+    core; every row is projected where it is, so nothing is scattered.
     """
     out = np.empty((vals.shape[0], w.shape[1]))
     bounds = _runs(mu)

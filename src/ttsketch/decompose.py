@@ -30,11 +30,13 @@ for ALS (als); the remainders differ only in their sketch, projection
 and first core.  For sparse input with N stored entries the sketch
 draws s Gaussian entries per distinct index prefix (one column of g per
 occupied leading position, at most N of them) and the remainder keeps one
-row per entry, entries with equal leading positions split, since their
-contributions add linearly; both contractions are one matrix product per
-mode value, so the cost grows linearly in the order at fixed N and s.
+row per distinct index prefix of the step's length, at most N of them:
+after an update each row depends on its prefix one mode shorter alone,
+so the rows sharing that prefix are added into one.  Both contractions
+are one matrix product per mode value, so the cost grows linearly in the
+order at fixed N and s, and falls where the entries share prefixes.
 The dense step derives its lead positions' codes chunk by chunk from the
-parent level's; the sparse sweep keeps one code per entry and steps it
+parent level's; the sparse sweep keeps one code per row and steps it
 back one index per step, by the mixer's inverse.
 
 Each sweep's loop bounds its ranks by its unfoldings' rows and columns (a
@@ -154,15 +156,26 @@ def randomized_range(a, spec, rng):
 
 
 def relative_error(x, t):
-    """||x - evaluation of t|| / ||x||; a SparseTensor x is densified."""
+    """||x - evaluation of t|| / ||x||; a SparseTensor x is densified.
+
+    Both are scaled by 2^-e, max |x| = m 2^e with m in [0.5, 1), so the
+    norms neither overflow nor underflow for any finite x.  A product with
+    a power of two is exact away from subnormals, so the ratio is the one
+    computed unscaled wherever that one is in range.
+    """
     x = x.to_dense() if isinstance(x, SparseTensor) else as_real(x, "tensor entries")
     if t.shape != x.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {t.shape}")
-    nx = np.linalg.norm(x.ravel())
-    if nx == 0.0:
+    big = max(x.max(), -x.min()) if x.size else 0.0
+    if big == 0.0:
         raise ValueError("relative error is undefined against a zero tensor")
+    e = -int(np.frexp(big)[1])
     y = tt_evaluate(t)
-    return float(np.linalg.norm((x - y).ravel()) / nx)
+    np.ldexp(y, e, out=y)
+    diff = np.ldexp(x, e)
+    nx = np.linalg.norm(diff.ravel())
+    diff -= y
+    return float(np.linalg.norm(diff.ravel()) / nx)
 
 
 def _admit(x):
@@ -294,15 +307,24 @@ class _DenseRemainder:
 
 
 class _SparseRemainder:
-    """b as one row of length t per stored entry, rows in the entries' `order`.
+    """b as one row of length t per distinct index prefix, rows in `order`.
 
-    The Gaussian column of an entry depends on its prefix idx[:, :j-1]
-    alone, through the prefix's code: `codes` holds each entry's code at
-    the current step, in canonical order, and steps back one index per
-    step (extend_codes is invertible), so one level is ever held.  The
-    entries are in canonical order, so those sharing a prefix are adjacent:
-    a new prefix starts wherever an entry first differs from the one before
-    it in a mode below j-1.  The runs come from the indices, not the codes.
+    Step j's rows are the distinct prefixes idx[:, :j] of the stored
+    entries: after step j's update a row depends on its prefix idx[:, :j-1]
+    alone, so the rows sharing that prefix are added into one.  Each row
+    keeps, in canonical order, the id of its first entry (`rows`), through
+    which it reads its indices, its prefix code and its split; `order`
+    lists the rows sorted by their index in the current mode, the order of
+    `vals` and `mu`.
+
+    The Gaussian column of a row depends on its prefix idx[:, :j-1] alone,
+    through the prefix's code: `codes` holds each row's code at the current
+    step and steps back one index per step (extend_codes is invertible), so
+    one level is ever held.  The rows are in canonical order, so those
+    sharing a prefix are adjacent: a new prefix starts wherever a row first
+    differs from the one before it in a mode below j-1 (its `split`).  The
+    runs come from the indices, not the codes; the same runs pick the
+    Gaussian columns and, after the update, the rows that are added.
     """
 
     def __init__(self, xs):
@@ -311,12 +333,16 @@ class _SparseRemainder:
         for k in range(xs.ndim - 1):
             self.codes = _kernels.extend_codes(self.codes, xs.idx[:, k])
         self.split = first_differing_mode(xs.idx)
+        # A prefix of length j-1 repeats where some split reaches j-1.
+        self.deepest = int(self.split.max())
+        self.rows = np.arange(xs.nnz)
         self.vals = xs.values[:, None]
-        self.order = np.arange(xs.nnz)
+        self.order = self.rows
+        self.runs = (None,)
         self._sort(xs.ndim, xs.idx[:, -1])
 
     def _sort(self, j, column):
-        # Rows by mode j for step j, whose indices in canonical order are
+        # Rows by mode j for step j, whose indices in canonical row order are
         # column; stable, so the order is reproducible, and a narrow key
         # lets numpy use its radix sort.
         n_j = self.shape[j - 1]
@@ -326,14 +352,21 @@ class _SparseRemainder:
         self.mu = mu[by_mode]
         self.vals = self.vals[by_mode]
 
+    def _runs(self, j):
+        """Which rows start a prefix of length j-1, in canonical order, and
+        the run of each sorted row; found once per step."""
+        if self.runs[0] != j:
+            new = self.split < j - 1  # split[0] == 0, so row 0 starts a run
+            self.runs = (j, new, (np.cumsum(new) - 1)[self.order])
+        return self.runs[1:]
+
     def sketch(self, j, s, key):
-        new = self.split < j - 1  # split[0] == 0, so entry 0 starts a run
-        # One column per prefix, gathered to the entries one mode group at
-        # a time and freed on return: a step holds the projected rows, the
+        # One column per prefix, gathered to the rows one mode group at a
+        # time and freed on return: a step holds the projected rows, the
         # columns per prefix and one group's gathered columns, then the
         # projected rows beside the next ones.
+        new, run = self._runs(j)
         gam = _kernels.gammas_at(self.codes[new], s, key)
-        run = (np.cumsum(new) - 1)[self.order]
         a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, self.shape[j - 1])
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(s, -1)
 
@@ -343,14 +376,30 @@ class _SparseRemainder:
         w = q.reshape(q.shape[0], n_j, -1).transpose(1, 0, 2)
         self.vals = _kernels.sparse_update(self.mu, self.vals, np.ascontiguousarray(w))
         if j > 2:
-            # One strided read of the column serves both.
-            column = np.ascontiguousarray(self.idx[:, j - 2])
+            if self.deepest >= j - 1:
+                self._merge(j)
+            column = self.idx[self.rows, j - 2]
             self.codes = _kernels.parent_codes(self.codes, column)
             self._sort(j - 1, column)
 
+    def _merge(self, j):
+        # The rows of a run are added in the sorted row order into one row
+        # per run, in canonical order.  A run meets each mode value at most
+        # once, so a mode group adds into distinct rows: one indexed add per
+        # group, each sum started from 0.0, as a scatter-add would.
+        new, run = self._runs(j)
+        merged = np.zeros((np.count_nonzero(new), self.vals.shape[1]))
+        bounds = _kernels._runs(self.mu)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            merged[run[lo:hi]] += self.vals[lo:hi]
+        self.vals = merged
+        self.rows, self.codes, self.split = self.rows[new], self.codes[new], self.split[new]
+        self.deepest = int(self.split.max())
+        self.order = np.arange(len(merged))
+
     def first_core(self):
-        # bincount adds each column in entry order, as a scatter-add would.
-        first, n_1 = self.idx[self.order, 0], self.shape[0]
+        # bincount adds each column in row order, as a scatter-add would.
+        first, n_1 = self.idx[self.rows[self.order], 0], self.shape[0]
         return np.column_stack([np.bincount(first, v, n_1) for v in self.vals.T])
 
 

@@ -10,7 +10,9 @@ to bound the distance between the two), ref_sketch_rows_vec forms the
 sketch's pairs with the package's float operations in its order
 (ref_sketch_entry takes them by python ints and math.cos / math.sin),
 ref_randomized_sparse runs the package's kernels but draws one sketch
-column per entry through ref_sketch_rows_vec, ref_randomized_dense is the
+column per row through ref_sketch_rows_vec and merges the rows that share
+a prefix by its own grouping (or, with merge=False, keeps one row per
+entry), ref_randomized_dense is the
 dense sweep in its own loop, drawing through ref_sketch_rows_vec, kept
 word for word but for its identity steps and its clamp of each width to
 the unfolding's rows (both keep, with draw_all, the sweep that draws at
@@ -271,16 +273,23 @@ def ref_step_codes(idx, shape):
         yield j, mu, np.array([chain[j - 1] for chain in chains], dtype=np.uint64)
 
 
-def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
-    """Cores of the sparse randomized sweep, drawing one column per entry.
+def ref_randomized_sparse(xs, sketch, rng, draw_all=False, merge=True):
+    """Cores of the sparse randomized sweep, drawing one column per row.
 
-    The per-entry draw: every step draws the Gaussian column of each stored
-    entry at its python-int prefix code (ref_step_codes) through
-    ref_sketch_rows_vec, so entries sharing a prefix draw the same column
+    The per-entry draw: every step draws the Gaussian column of each row at
+    the python-int prefix code of its entry (ref_step_codes) through
+    ref_sketch_rows_vec, so rows sharing a prefix draw the same column
     again.  The bit-identity tests compare the package's one-column-per-
     prefix draw with it, so unlike the rest of this module it runs the
     package's own sketch and update kernels and RQ: only the codes and the
-    draw and the first core's scatter-add (np.add.at here) are its own.
+    draw, the grouping of the rows and the scatter-adds (np.add.at here)
+    are its own.
+    With merge, after each update the rows that share a prefix of length
+    j-1 are added into one, grouped by np.unique of the prefixes: only where
+    some prefix repeats, into rows in canonical prefix order, each added in
+    the step's sorted row order; a merged row reads its indices through the
+    first entry of its prefix.  With merge=False every entry keeps its own
+    row at every step, as the sweep did before it merged rows.
     `sketch` is one width per edge; a step takes at most as many rows as
     its unfolding has (lead).  A step whose width covers its n_j * t
     columns is the identity and draws nothing; with draw_all it draws and
@@ -298,20 +307,20 @@ def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
     for n in shape:
         lead *= int(n)
     t_dim = 1
-    order = np.arange(xs.nnz)
+    entry = np.arange(xs.nnz)  # the entry each row reads its indices from
     for j in range(d, 1, -1):
         n_j = shape[j - 1]
         lead //= n_j
         s_prev = min(sketch[j - 2], lead)
-        mu = xs.idx[order, j - 1]
+        mu = xs.idx[entry, j - 1]
         by_mode = np.argsort(mu, kind="stable")
-        order = order[by_mode]
+        entry = entry[by_mode]
         mu = mu[by_mode]
         vals = vals[by_mode]
         if s_prev >= n_j * t_dim and not draw_all:
             q = np.eye(n_j * t_dim)
         else:
-            gam = ref_sketch_rows_vec(rng.substream(j).key, codes[j][order], s_prev)
+            gam = ref_sketch_rows_vec(rng.substream(j).key, codes[j][entry], s_prev)
             a_by_mode = K.sparse_sketch(mu, vals, gam, np.arange(len(mu)), n_j)
             a = np.ascontiguousarray(a_by_mode.transpose(1, 0, 2)).reshape(
                 s_prev, n_j * t_dim
@@ -324,8 +333,17 @@ def ref_randomized_sparse(xs, sketch, rng, draw_all=False):
         )
         vals = K.sparse_update(mu, vals, w_by_mode)
         t_dim = t_next
+        if merge and j > 2:
+            prefixes, group = np.unique(xs.idx[entry, :j - 1], axis=0, return_inverse=True)
+            group = group.reshape(-1)
+            if len(prefixes) < len(entry):
+                merged = np.zeros((len(prefixes), t_dim))
+                np.add.at(merged, group, vals)
+                first = np.full(len(prefixes), xs.nnz)
+                np.minimum.at(first, group, entry)
+                vals, entry = merged, first
     w1 = np.zeros((shape[0], t_dim))
-    np.add.at(w1, xs.idx[order, 0], vals)
+    np.add.at(w1, xs.idx[entry, 0], vals)
     cores[0] = w1
     return cores
 

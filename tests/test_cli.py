@@ -81,6 +81,19 @@ def test_decompose_sparse_det_prints_the_error(tmp_path, capsys):
     assert err < 1e-12  # rank 10 covers every unfolding of 4x4x4
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_decompose_prints_the_error_of_input_far_from_one(tmp_path, capsys, scale):
+    # The printed error read nan at 1e200 and the command exited 1 at
+    # 1e-170, after writing the train.
+    src = tmp_path / "x.txt"
+    save_dense(src, np.diag([scale, scale]))
+    with np.errstate(over="ignore"):  # the cut energy, 1e400, overflows
+        code = main(["decompose", "--input", str(src), "--method", "det",
+                     "--r", "1", "--out", str(tmp_path / "x.tt")])
+    assert code == 0
+    assert capsys.readouterr().out.split("rel_error=")[1] == "0.707107\n"
+
+
 @pytest.mark.parametrize("method", ["det", "rand"])
 def test_decompose_zero_file_prints_no_error(tmp_path, capsys, method):
     # A zero tensor has no relative error; the zero train is written and

@@ -55,6 +55,28 @@ def test_truncated_exact_ranks_zero_error():
     assert all(e < 1e-20 for e in report.discarded_energy)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_relative_error_of_finite_input_far_from_one(scale):
+    # ||x||^2 overflowed at 1e200 (the error read nan) and underflowed to 0
+    # at 1e-170 (it raised the zero-tensor error); scaled by a power of two
+    # the true value 1/sqrt(2) comes out.
+    x = np.diag([scale, scale])
+    with np.errstate(over="ignore"):  # the cut energy, 1e400, overflows
+        t, _ = tt_svd_truncated(x, 1)
+    assert relative_error(x, t) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+
+
+def test_relative_error_in_range_keeps_its_bits():
+    # A product with a power of two is exact, so the scaled ratio is the
+    # unscaled one, bit for bit.
+    for seed, scale in enumerate([1.0, 3.0e5, 7.0e-9]):
+        x = scale * gaussian_dense((3, 4, 5), RngStream(seed))
+        t, _ = tt_svd_truncated(x, 2)
+        y = tt_evaluate(t)
+        want = float(np.linalg.norm((x - y).ravel()) / np.linalg.norm(x.ravel()))
+        assert relative_error(x, t) == want
+
+
 def test_truncated_matrix_eckart_young():
     a = gaussian_dense((8, 6), RngStream(54))
     t, _ = tt_svd_truncated(a, 3)

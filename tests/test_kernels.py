@@ -224,12 +224,6 @@ def test_row_keys_are_the_substream_keys(key, count):
     assert [int(v) for v in got] == [K.derive_key(key, k) for k in range(count)]
 
 
-def _suffix_order(idx, j):
-    """Rows of step j: the entries sorted by their indices in modes
-    j-1, j, ..., d-1 (mode j-1 first), ties kept in entry order."""
-    return np.lexsort(idx[:, j - 1:].T[::-1])
-
-
 def _drawing_steps(shape, widths):
     """The steps j = d..2 whose width, clamped to the rows of their
     unfolding, is below their n_j * t columns.
@@ -250,17 +244,20 @@ def _drawing_steps(shape, widths):
 @given(long_sparse(), st.integers(0, 2 ** 16))
 @settings(max_examples=25, deadline=None)
 def test_sketch_gaussians_match_python_int_path(x, seed):
-    # The Gaussian column that each stored entry meets in the sketch is the
-    # one its python-int prefix code gives, bit for bit, and every drawing
-    # step draws one column per distinct index prefix, at that prefix's code.
+    # The Gaussian column that each row meets in the sketch is the one its
+    # python-int prefix code gives, bit for bit: every drawing step draws one
+    # column per distinct index prefix, at that prefix's code, and sketches
+    # one row per distinct prefix one mode longer, which meets its parent
+    # prefix's column.
     drawn = []
     sketched = []
     gammas_at = K.gammas_at
     sparse_sketch = K.sparse_sketch
 
     def spy_gammas(codes, s, key):
-        drawn.append((codes.copy(), int(key)))
-        return gammas_at(codes, s, key)
+        gam = gammas_at(codes, s, key)
+        drawn.append((codes.copy(), int(key), gam))
+        return gam
 
     def spy_sketch(mu, vals, gam, rows, n_j):
         sketched.append((mu.copy(), gam[:, rows]))
@@ -272,15 +269,27 @@ def test_sketch_gaussians_match_python_int_path(x, seed):
     drawing = _drawing_steps(x.shape, (2,) * (x.ndim - 1))
     steps = [step for step in o.ref_step_codes(x.idx, x.shape) if step[0] in drawing]
     assert len(drawn) == len(sketched) == len(steps)
-    for (codes, key), (mu, gam), (j, ref_mu, ref_codes) in zip(drawn, sketched, steps):
+    for (codes, key, draw), (mu, gam), (j, ref_mu, ref_codes) in zip(drawn, sketched, steps):
         _, first = np.unique(x.idx[:, :j - 1], axis=0, return_index=True)
         assert np.array_equal(codes, ref_codes[np.sort(first)])
-        order = _suffix_order(x.idx, j)
-        assert np.array_equal(mu, ref_mu[order])
-        assert _same_bits(gam, o.ref_sketch_rows_vec(key, ref_codes[order], gam.shape[0]))
-        for k in range(gam.shape[0]):
-            want = o.ref_sketch_entry(key, k, int(ref_codes[order][0]))
-            assert abs(gam[k, 0] - want) < 1e-12
+        for k in range(draw.shape[0]):
+            want = o.ref_sketch_entry(key, k, int(codes[0]))
+            assert abs(draw[k, 0] - want) < 1e-12
+        # The rows, in whatever order the sweep sorts them within a mode
+        # value, are the prefixes of length j, each with its mode index and
+        # its column.
+        _, first = np.unique(x.idx[:, :j], axis=0, return_index=True)
+        ref = o.ref_sketch_rows_vec(key, ref_codes[first], gam.shape[0])
+        assert np.all(mu[1:] >= mu[:-1])
+        assert _same_rows(np.column_stack([mu.astype(np.uint64), gam.T.view(np.uint64)]),
+                          np.column_stack([ref_mu[first].astype(np.uint64),
+                                           ref.T.view(np.uint64)]))
+
+
+def _same_rows(a, b):
+    """Whether a and b hold the same rows, in any order."""
+    return a.shape == b.shape and np.array_equal(a[np.lexsort(a.T[::-1])],
+                                                 b[np.lexsort(b.T[::-1])])
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """The sparse fast path must reproduce the dense path draw for draw."""
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as o
+from test_kernels import shared_prefix_sparse
 from ttsketch import (
-    RngStream, SparseTensor, clip_ranks, gaussian_dense, gaussian_sparse,
+    RngStream, SparseTensor, TTTensor, clip_ranks, gaussian_dense, gaussian_sparse,
     randomized_tt_svd, relative_error, tt_evaluate, tt_norm,
 )
 from ttsketch import _kernels as K
@@ -143,3 +147,97 @@ def test_long_order_smoke():
     t, report = randomized_tt_svd(xs, clip_ranks(shape, 6), rng.substream(1))
     assert len(report.ranks) == 61
     assert tt_norm(t) <= np.linalg.norm(xs.values) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# One row per distinct prefix
+
+def _outer_product_sum(seed=5):
+    """A sum of three outer products of sparse mode vectors at 5^6, as the
+    benchmark's sparse CLI input is at 8^8: the entries share prefixes."""
+    rng = np.random.default_rng(seed)
+    shape, supports = (5,) * 6, (3, 3, 3, 2, 2, 2)
+    x = np.zeros(shape)
+    for _ in range(3):
+        term = np.ones(())
+        for n, k in zip(shape, supports):
+            vec = np.zeros(n)
+            vec[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+            term = np.multiply.outer(term, vec)
+        x += term
+    idx = np.argwhere(x)
+    return SparseTensor(shape, idx, x[tuple(idx.T)])
+
+
+def _distinct_prefixes(x, j):
+    return len(np.unique(x.idx[:, :j], axis=0))
+
+
+def _assert_one_row_per_prefix(x, widths, seed):
+    # After step j+1's update a row depends only on its prefix idx[:, :j], so
+    # step j (drawing or identity) updates one row per distinct prefix of
+    # length j: all N entries at step d, and the merged rows below it.
+    rows = []
+    sparse_update = K.sparse_update
+
+    def spy(mu, vals, w):
+        rows.append(len(mu))
+        return sparse_update(mu, vals, w)
+
+    with mock.patch.object(K, "sparse_update", spy):
+        randomized_tt_svd(x, widths, RngStream(seed))
+    assert rows == [_distinct_prefixes(x, j) for j in range(x.ndim, 1, -1)]
+
+
+def _assert_represents_the_per_entry_tensor(x, widths, seed):
+    # Merging changes only the order of the additions: a merged row is the
+    # sum of its entries' rows, which the per-entry sweep adds later, inside
+    # the sketch's products and the first core's scatter-add.  Both draw the
+    # same Gaussians and take the same widths, so the ranks are equal, and
+    # in exact arithmetic so are the represented tensors.  A sum of at most
+    # N terms a_i, computed in any order, is off by at most (N u) sum |a_i|
+    # <= N^1.5 u ||a|| (Higham, Accuracy and Stability, ch. 4): 1.7e-12 for
+    # the pinned input's N = 621, the largest here.  The RQ is backward
+    # stable and the represented tensor is x projected step by step, so
+    # over at most 7 steps that gives about 1e-11 of ||x||, times the
+    # sketches' condition numbers.  The worst case needs every rounding to
+    # push one way; with random signs the error grows like sqrt(N) u, about
+    # 3e-15 here, which leaves the bound of 1e-11 a factor of 1e3 for the
+    # condition numbers of Gaussian sketches of at most 8 rows.
+    t, _ = randomized_tt_svd(x, widths, RngStream(seed))
+    want = TTTensor(o.ref_randomized_sparse(x, widths, RngStream(seed), merge=False))
+    assert t.ranks == want.ranks
+    y = tt_evaluate(want)
+    assert np.linalg.norm(tt_evaluate(t) - y) <= 1e-11 * np.linalg.norm(x.values)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_outer_product_sum_updates_one_row_per_distinct_prefix(width):
+    x = _outer_product_sum()
+    for seed in range(3):
+        _assert_one_row_per_prefix(x, (width,) * (x.ndim - 1), seed)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_outer_product_sum_represents_the_per_entry_tensor(width):
+    x = _outer_product_sum()
+    for seed in range(3):
+        _assert_represents_the_per_entry_tensor(x, (width,) * (x.ndim - 1), seed)
+
+
+def _widths(x, data):
+    return tuple(data.draw(st.lists(st.integers(1, 6), min_size=x.ndim - 1,
+                                    max_size=x.ndim - 1)))
+
+
+@given(shared_prefix_sparse(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_each_step_updates_one_row_per_distinct_prefix(x, data):
+    _assert_one_row_per_prefix(x, _widths(x, data), data.draw(st.integers(0, 2 ** 16)))
+
+
+@given(shared_prefix_sparse(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_merged_rows_represent_the_per_entry_tensor(x, data):
+    _assert_represents_the_per_entry_tensor(
+        x, _widths(x, data), data.draw(st.integers(0, 2 ** 16)))
