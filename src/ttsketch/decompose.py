@@ -66,10 +66,11 @@ import numpy as np
 
 from . import _kernels
 # svd is unused here but stays bound: perfbench's tracer test expects it.
-from .linalg import left_svd, numerical_rank, qr, rq_row_orthonormal, svd  # noqa: F401
+from .linalg import (  # noqa: F401
+    cut_energy, left_svd, numerical_rank, qr, rq_row_orthonormal, svd,
+)
 from .tensor import (
     SparseTensor, as_real, check_finite, check_integers, element_count,
-    first_differing_mode,
 )
 from .tt import TTTensor, integral_ranks, tt_evaluate, zero_tt
 
@@ -220,7 +221,7 @@ def _svd_sweep(x, target=None, rel_tol=0.0):
         else:
             u, s = left_svd(cur)
             k = max(1, numerical_rank(s, rel_tol)) if target is None else target[i]
-            u, cut = u[:, :k], float(np.sum(s[k:] ** 2))
+            u, cut = u[:, :k], cut_energy(s, k)
             rest = u.T @ cur
         k = u.shape[1]
         discarded.append(cut)
@@ -322,9 +323,10 @@ class _SparseRemainder:
     step and steps back one index per step (extend_codes is invertible), so
     one level is ever held.  The rows are in canonical order, so those
     sharing a prefix are adjacent: a new prefix starts wherever a row first
-    differs from the one before it in a mode below j-1 (its `split`).  The
-    runs come from the indices, not the codes; the same runs pick the
-    Gaussian columns and, after the update, the rows that are added.
+    differs from the one before it in a mode below j-1 (its `split`, which
+    starts as the tensor's).  The runs come from the indices, not the
+    codes; the same runs pick the Gaussian columns and, after the update,
+    the rows that are added.
     """
 
     def __init__(self, xs):
@@ -332,7 +334,7 @@ class _SparseRemainder:
         self.codes = np.zeros(xs.nnz, dtype=np.uint64)
         for k in range(xs.ndim - 1):
             self.codes = _kernels.extend_codes(self.codes, xs.idx[:, k])
-        self.split = first_differing_mode(xs.idx)
+        self.split = xs.split
         # A prefix of length j-1 repeats where some split reaches j-1.
         self.deepest = int(self.split.max())
         self.rows = np.arange(xs.nnz)

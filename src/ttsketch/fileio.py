@@ -11,12 +11,15 @@ d, the mode sizes and any further header integers, then the body:
                                    followed by the cores in order, each
                                    flattened row-major
 
-Readers split the text once, cut the header and any trailing tokens out
-of that token list in place and convert the body in one numpy call, so
-line breaks are cosmetic; a short body is reported before a bad value in
-it, trailing tokens after it.  Writers put one record per line for dense
-values and sparse entries and one core per line for trains.  All values
-must be finite.
+Readers split the text once and cut the header and any trailing tokens
+out of that token list in place, so line breaks are cosmetic; a short
+body is reported before a bad value in it, trailing tokens after it.
+Values convert in one numpy call.  Sparse index tokens are read from
+their digits, a chunk of tokens at a time joined into one ASCII string; a
+chunk holding a token that is not 1 to 18 ASCII digits converts through
+numpy instead, so both routes load the same files with the same
+messages.  Writers put one record per line for dense values and sparse
+entries and one core per line for trains.  All values must be finite.
 """
 
 import math
@@ -24,13 +27,16 @@ import math
 import numpy as np
 
 from .tensor import (
-    SparseTensor, as_real, check_dense_size, check_finite, check_shape,
-    element_count,
+    _INT64_MAX, SparseTensor, as_real, check_dense_size, check_finite,
+    check_shape, element_count,
 )
 from .tt import TTTensor, core_shapes
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# Index tokens read per chunk, and the most digits read by digit arithmetic
+# (10^18 - 1 < 2^63 - 1).
+_CHUNK = 2 ** 14
+_MAX_DIGITS = 18
 
 
 def _fmt(v):
@@ -126,9 +132,10 @@ def load_sparse(text):
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
     # The entries as one table: d 1-based indices and a value per entry,
-    # cut out of the token list in place rather than copied from it, and
-    # converted in one shot each; any failure takes the slow path, which
-    # names the first entry at fault.  Trailing tokens are reported only
+    # cut out of the token list in place rather than copied from it; the
+    # values convert in one shot and the indices chunk by chunk.  Any
+    # failure takes the slow path, which walks the whole token list to
+    # name the first entry at fault.  Trailing tokens are reported only
     # for a table that loads.
     d = len(shape)
     trailing = _cut(tokens, nnz * (d + 1), "sparse tensor")
@@ -136,9 +143,9 @@ def load_sparse(text):
     del tokens[d::d + 1]
     try:
         values = np.array(values, dtype=np.float64)
-        idx = np.array(tokens, dtype=np.int64).reshape(nnz, d)
-        ok = (np.all(idx.min(axis=0, initial=1) >= 1)
-              and np.all(idx.max(axis=0, initial=1) <= shape)
+        idx = _indices(tokens).reshape(nnz, d)
+        top = np.array([min(n, _INT64_MAX) for n in shape], dtype=np.int64)
+        ok = (idx.min(initial=1) >= 1 and not (idx > top).any()
               and np.isfinite(values.min(initial=0.0))
               and np.isfinite(values.max(initial=0.0)))
     except (ValueError, OverflowError):
@@ -150,6 +157,45 @@ def load_sparse(text):
         raise ValueError("trailing tokens in sparse tensor data")
     idx -= 1
     return SparseTensor(shape, idx, values)
+
+
+def _indices(tokens):
+    """The index tokens as one int64 array, read _CHUNK tokens at a time, so
+    that a chunk's joined text stays small beside the token list."""
+    out = np.empty(len(tokens), dtype=np.int64)
+    for lo in range(0, len(tokens), _CHUNK):
+        part = tokens[lo:lo + _CHUNK]
+        got = _from_digits(part)
+        out[lo:lo + len(part)] = np.array(part, dtype=np.int64) if got is None else got
+    return out
+
+
+def _from_digits(part):
+    """The values of tokens that are all 1 to 18 ASCII digits, or None; any
+    other token (a sign, an underscore, a non-ASCII digit, 19 or more
+    digits) is left to numpy's conversion, which says what loads.
+
+    The tokens come from str.split, so none is empty or holds a space:
+    joined by single spaces, each one ends before the next space.  The
+    digits are added in one pass per digit position, counted from each
+    token's end; 18 digits stay below 2^63, so the sums are exact.
+    """
+    try:
+        text = (" ".join(part) + " ").encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    digit = np.frombuffer(text, dtype=np.uint8) - np.uint8(48)  # " " wraps to 240
+    ends = np.flatnonzero(digit == 240)
+    if np.count_nonzero(digit < 10) != len(text) - len(ends):
+        return None
+    width = np.diff(ends, prepend=-1) - 1
+    top = int(width.max())
+    if top > _MAX_DIGITS:
+        return None
+    out = digit[ends - 1].astype(np.int64)
+    for q in range(1, top):
+        out += np.where(width > q, digit[ends - (q + 1)], 0) * np.int64(10 ** q)
+    return out
 
 
 def _first_bad_entry(idx_tokens, values, shape):

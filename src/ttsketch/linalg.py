@@ -3,11 +3,11 @@
 The decompositions themselves are delegated to numpy; what this module
 adds is determinism (each factor's sign ambiguity is resolved the same
 way everywhere) and the small variants the decomposition sweeps need:
-rank-truncated SVD, the left factor and singular values of a wide
-matrix from the R factor of its long side (Chan's R-SVD), a
-row-orthonormal RQ, and a relative-threshold numerical rank.  Every
-factorization reads its matrix through tensor.as_real, so complex input
-raises ValueError instead of losing its imaginary part.
+rank-truncated SVD and its cut energy, the left factor and singular
+values of a wide matrix from the R factor of its long side (Chan's
+R-SVD), a row-orthonormal RQ, and a relative-threshold numerical rank.
+Every factorization reads its matrix through tensor.as_real, so complex
+input raises ValueError instead of losing its imaginary part.
 """
 
 import numpy as np
@@ -63,15 +63,21 @@ def left_svd(a):
 def truncated_svd(a, rank):
     """Leading `rank` singular triples (fewer only if the matrix is smaller).
 
-    Also returns the discarded energy, i.e. the sum of the squared
-    singular values that were cut off.
+    Also returns the discarded energy, cut_energy(s, k).
     """
     if rank < 1:
         raise ValueError("target rank must be positive")
     u, s, vt = svd(a)
     k = min(int(rank), s.shape[0])
-    discarded = float(np.sum(s[k:] ** 2))
-    return u[:, :k], s[:k], vt[:k, :], discarded
+    return u[:, :k], s[:k], vt[:k, :], cut_energy(s, k)
+
+
+def cut_energy(s, k):
+    """The energy cut by keeping k singular values: the sum of the squares
+    of s[k:], a float.  A sum too large for a float is inf, without an
+    overflow warning; a finite one is the plain sum of squares."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(s[k:] ** 2))
 
 
 def qr(a):

@@ -14,6 +14,7 @@ import numpy as np
 
 # Largest dense element count the package will materialize.
 MAX_DENSE_ELEMENTS = 2 ** 40
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def element_count(shape):
@@ -96,18 +97,20 @@ def first_differing_mode(idx):
     return split
 
 
-def _strictly_increasing(idx):
-    """Whether the rows of idx are in strict row-major order: each row is
-    larger than the row before it in the first mode where the two differ
-    (equal rows differ nowhere and compare equal in mode 0)."""
+def _canonical_split(idx):
+    """first_differing_mode(idx) if the rows of idx are in strict row-major
+    order, else None.  Strict order: each row is larger than the row before
+    it in the first mode where the two differ (equal rows differ nowhere
+    and compare equal in mode 0)."""
     # Mode 0 alone already rejects most unordered input, in O(nnz).
     if np.any(idx[1:, 0] < idx[:-1, 0]):
-        return False
-    split = first_differing_mode(idx)[1:, None]
-    return bool(np.all(
-        np.take_along_axis(idx[1:], split, axis=1)
-        > np.take_along_axis(idx[:-1], split, axis=1)
-    ))
+        return None
+    split = first_differing_mode(idx)
+    at = split[1:, None]
+    if np.all(np.take_along_axis(idx[1:], at, axis=1)
+              > np.take_along_axis(idx[:-1], at, axis=1)):
+        return split
+    return None
 
 
 class SparseTensor:
@@ -118,10 +121,12 @@ class SparseTensor:
     storage.  Shapes may exceed any dense limit; only the entries exist.
     Index and value arrays that need no change (int64 and float64,
     C-ordered, in canonical order, no zeros) are kept as given, shared with
-    the caller rather than copied.
+    the caller rather than copied.  `split` is first_differing_mode(idx),
+    computed once, by the canonical-order check or after the sort; the
+    sparse sweep reads it.
     """
 
-    __slots__ = ("shape", "idx", "values")
+    __slots__ = ("shape", "idx", "values", "split")
 
     def __init__(self, shape, idx, values):
         self.shape = check_shape(shape)
@@ -134,20 +139,24 @@ class SparseTensor:
             raise ValueError("values length does not match index rows")
         if not np.all(np.isfinite(values)):
             raise ValueError("sparse values must be finite")
-        if idx.shape[0]:
-            bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= self.shape)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(
-                    f"index out of range in mode {k} for size {self.shape[k]}"
-                )
+        # One flat minimum and one contiguous compare against the largest
+        # index per mode (clipped to int64, where every index fits); the
+        # per-mode reductions run only to name the first mode at fault.
+        top = np.array([min(n - 1, _INT64_MAX) for n in self.shape], dtype=np.int64)
+        if idx.min(initial=0) < 0 or (idx > top).any():
+            bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) > top)
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"index out of range in mode {k} for size {self.shape[k]}"
+            )
         keep = values != 0.0
         if not keep.all():
             idx = idx[keep]
             values = values[keep]
         # Rows already in canonical order, as save_sparse writes them, are
         # kept as given; anything else is sorted and checked for duplicates.
-        if idx.shape[0] > 1 and not _strictly_increasing(idx):
+        split = _canonical_split(idx)
+        if split is None:
             # Big-endian bytes of nonnegative indices compare like the
             # numbers, so sorting each row as one byte string gives the
             # row-major (lexicographic) order.
@@ -160,8 +169,10 @@ class SparseTensor:
             rows = idx.view(row).ravel()
             if np.any(rows[1:] == rows[:-1]):
                 raise ValueError("duplicate multi-indices in sparse tensor")
+            split = first_differing_mode(idx)
         self.idx = np.ascontiguousarray(idx)
         self.values = np.ascontiguousarray(values)
+        self.split = split
 
     @property
     def nnz(self):

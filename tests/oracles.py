@@ -26,7 +26,9 @@ ref_tt_round trusting a right-orthogonal train.  ref_svd_sweep is the determinis
 as it was before it took its steps from the R factor: one full SVD per
 unfolding, the remainder carried as s * vt, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
-kept word for word as the reference for the table that replaced it.
+kept word for word as the reference for the table that replaced it, and
+ref_load_sparse is the sparse file reader before it read its index
+tokens by their digits, kept word for word with the package's helpers.
 matricize, contract and inner are the dense mode-wise helpers the tests
 unfold and contract with, checked against naive_matricize, naive_contract
 and naive_inner.
@@ -57,6 +59,43 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def ref_load_sparse(text):
+    """The sparse reader as it was before it read its index tokens from
+    their digits: one np.array call for the whole index table and per-mode
+    range checks, kept word for word."""
+    from ttsketch.fileio import _cut, _first_bad_entry, _split
+    from ttsketch.tensor import SparseTensor
+
+    shape, (nnz,), tokens = _split(text, "sparse", lambda d: 1)
+    if nnz < 0:
+        raise ValueError("entry count must be nonnegative")
+    # The entries as one table: d 1-based indices and a value per entry,
+    # cut out of the token list in place rather than copied from it, and
+    # converted in one shot each; any failure takes the slow path, which
+    # names the first entry at fault.  Trailing tokens are reported only
+    # for a table that loads.
+    d = len(shape)
+    trailing = _cut(tokens, nnz * (d + 1), "sparse tensor")
+    values = tokens[d::d + 1]
+    del tokens[d::d + 1]
+    try:
+        values = np.array(values, dtype=np.float64)
+        idx = np.array(tokens, dtype=np.int64).reshape(nnz, d)
+        ok = (np.all(idx.min(axis=0, initial=1) >= 1)
+              and np.all(idx.max(axis=0, initial=1) <= shape)
+              and np.isfinite(values.min(initial=0.0))
+              and np.isfinite(values.max(initial=0.0)))
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise _first_bad_entry(tokens, values, shape)
+    del tokens
+    if trailing:
+        raise ValueError("trailing tokens in sparse tensor data")
+    idx -= 1
+    return SparseTensor(shape, idx, values)
 
 
 def normals_at(key, counters):

@@ -1,6 +1,7 @@
 """Deterministic and randomized decompositions against frozen oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,9 +62,17 @@ def test_relative_error_of_finite_input_far_from_one(scale):
     # at 1e-170 (it raised the zero-tensor error); scaled by a power of two
     # the true value 1/sqrt(2) comes out.
     x = np.diag([scale, scale])
-    with np.errstate(over="ignore"):  # the cut energy, 1e400, overflows
-        t, _ = tt_svd_truncated(x, 1)
+    t, _ = tt_svd_truncated(x, 1)
     assert relative_error(x, t) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+
+
+def test_truncated_cut_too_large_for_a_float_is_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, report = tt_svd_truncated(np.diag([1e200, 1e200]), 1)
+    assert report.discarded_energy == (np.inf,)
+    assert t.ranks == (1,)
+    assert np.array_equal(tt_evaluate(t), np.diag([1e200, 0.0]))
 
 
 def test_relative_error_in_range_keeps_its_bits():

@@ -3,6 +3,7 @@
 import os
 import random
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import oracles as o
 from ttsketch import (
     RngStream, SparseTensor, TTTensor, gaussian_sparse, random_tt,
 )
+from ttsketch import fileio
 from ttsketch.fileio import (
     load_dense, load_sparse, load_tensor_file, load_tt, load_tt_file,
     save_dense, save_sparse, save_tt,
@@ -171,6 +173,7 @@ _RANGE = "out of range for mode size 3 (indices are 1-based)"
     ("sparse 2 3 3 2 1 1 5.0 1.5 1 2.0",
      "entry 2: expected an integer index, got '1.5'"),
     ("sparse 2 3 3 2 1 1 5.0 2 0 2.0", f"entry 2: index 0 {_RANGE}"),
+    ("sparse 2 3 3 2 1 1 5.0 2 4 2.0", f"entry 2: index 4 {_RANGE}"),
     ("sparse 2 3 3 2 1 1 5.0 -1 1 2.0", f"entry 2: index -1 {_RANGE}"),
     ("sparse 2 3 3 2 1 1 5.0 1 10000000000000000000000 2.0",
      f"entry 2: index 10000000000000000000000 {_RANGE}"),
@@ -211,6 +214,20 @@ def test_sparse_line_breaks_are_cosmetic():
     assert x.shape == (2, 3, 4)
     assert x.idx.tolist() == [[0, 0, 0], [1, 2, 3]]
     assert x.values.tolist() == [0.5, -2.0]
+
+
+def test_sparse_index_range_at_the_int64_edge(tmp_path):
+    # The range check compares with the sizes clipped to int64: index
+    # 2^63 - 1 is in range in a mode of size 2^64, and in one of size
+    # 2^63 - 1; index 0 and index n + 1 are refused in the exact-message
+    # cases above.
+    top = 2 ** 63 - 1
+    for n in (2 ** 64, top):
+        text = f"sparse 2 3 {n} 2  1 1 5.0  3 {top} 2.0"
+        assert load_sparse(text).idx.tolist() == [[0, 0], [2, top - 1]]
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        assert load_tensor_file(path).idx.tolist() == [[0, 0], [2, top - 1]]
 
 
 def test_tt_errors():
@@ -381,3 +398,75 @@ def test_train_files_round_trip_bit_exact(t, seed):
     for back in (load_tt(text), load_tt(_rewrap(text, seed))):
         assert back.shape == t.shape and back.ranks == t.ranks
         assert all(_same_bits(a, b) for a, b in zip(back.cores, t.cores))
+
+
+# Index tokens that the reader does not read by their digits: numpy's
+# conversion takes the sign, the underscore and the non-ASCII digits,
+# and refuses the rest, the bytes just past either end of the ASCII
+# digits ("/" and ":") included.
+_ODD_INDICES = ["+1", "+03", "1_0", "\u0661", "\u0662\u0663", "\uff12",
+                "-1", "-0", "0", "1.5", "x", "1e1", "2\x00", "1:", "/1"]
+
+
+@st.composite
+def sparse_texts(draw):
+    """The text of a sparse file, maybe bad anywhere, and a chunk size."""
+    d = draw(st.integers(1, 4))
+    sizes = st.sampled_from([1, 3, 9, 10, 11, 100, 10 ** 18, 2 ** 63 - 1,
+                             2 ** 63, 2 ** 64, 10 ** 19, 10 ** 20])
+    shape = draw(st.lists(sizes, min_size=d, max_size=d))
+    nnz = draw(st.integers(0, 8))
+
+    def index(n):
+        i = draw(st.one_of(
+            st.integers(1, min(n, 12)),
+            st.sampled_from([0, n, n + 1, 2 ** 63 - 1, 2 ** 63, 10 ** 18 - 1,
+                             10 ** 18, 10 ** 19, 10 ** 20 - 1]),
+        ))
+        tok = str(i)
+        pad = draw(st.sampled_from([0, 0, 0, 1, 2, 18, 19, 20]))
+        return tok.rjust(pad, "0") if pad > 3 else "0" * pad + tok
+
+    body = []
+    for _ in range(nnz):
+        body += [index(n) for n in shape]
+        body.append(draw(st.sampled_from(["1.0", "-2.5", "0.0", "7"])))
+    # Odd tokens at any slot, so some sit just before or after a chunk
+    # boundary; a value slot gets a bad number.
+    for _ in range(draw(st.integers(0, 3)) if body else 0):
+        at = draw(st.integers(0, len(body) - 1))
+        body[at] = draw(st.sampled_from(
+            ["nan", "inf", "abc"] if at % (d + 1) == d else _ODD_INDICES))
+    body += draw(st.sampled_from([[], [], ["9"]]))  # trailing token
+    head = ["sparse", str(d)] + [str(n) for n in shape] + [str(nnz)]
+    seps = st.sampled_from([" ", "\n", "  ", "\t"])
+    text = "".join(tok + draw(seps) for tok in head + body)
+    chunk = draw(st.sampled_from([1, 2, 3, 4, 5, 7, fileio._CHUNK]))
+    return text, chunk
+
+
+def _load_outcome(load, text):
+    try:
+        x = load(text)
+    except ValueError as err:
+        return ("error", str(err))
+    return ("tensor", x.shape, x.idx.dtype, x.idx.tolist(),
+            x.values.view(np.uint64).tolist())
+
+
+@example(("sparse 2 3 3 2  1 1 5.0  1 2 2.0", 3))
+@example(("sparse 2 3 3 2  1 +1 5.0  1 2 2.0", 2))
+@example(("sparse 2 3 3 2  1 1 5.0  1_0 2 2.0", 2))
+@example(("sparse 2 3 3 2  1 1 5.0  \u0661 2 2.0", 2))
+@example(("sparse 1 3 3  1 1.0  0003 2.0  01 3.0", 2))
+@example((f"sparse 2 3 {2 ** 64} 1  3 {'0' * 19}1 2.0", 1))
+@example((f"sparse 2 3 {2 ** 64} 1  3 {'0' * 20}1 2.0", 1))
+@given(sparse_texts())
+@settings(max_examples=300, deadline=None)
+def test_sparse_reader_matches_the_one_shot_reader(case):
+    # The same tensor, bit for bit, or the same refusal as the reader that
+    # converted all index tokens in one numpy call.
+    text, chunk = case
+    with mock.patch.object(fileio, "_CHUNK", chunk):
+        got = _load_outcome(load_sparse, text)
+    assert got == _load_outcome(o.ref_load_sparse, text)

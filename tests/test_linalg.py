@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles as o
 from ttsketch import RngStream
 from ttsketch.linalg import (
-    _fix_svd_signs, left_svd, numerical_rank, qr, rq_row_orthonormal, svd,
-    truncated_svd,
+    _fix_svd_signs, cut_energy, left_svd, numerical_rank, qr,
+    rq_row_orthonormal, svd, truncated_svd,
 )
 
 
@@ -149,6 +149,18 @@ def test_truncated_svd_trivials():
     u, s, vt, cut = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
     assert abs(np.linalg.norm(np.diag([3.0, 2.0, 1.0]) - u @ np.diag(s) @ vt) - 1.0) < 1e-13
     assert abs(cut - 1.0) < 1e-13
+
+
+def test_cut_energy_keeps_finite_bits_and_overflows_quietly():
+    # The suite turns warnings into errors, so an overflow warning would
+    # raise here.
+    s = RngStream(24).normals(7)
+    for k in range(8):
+        assert cut_energy(s, k) == float(np.sum(s[k:] ** 2))
+    assert cut_energy(np.array([1e200, 1e200]), 1) == np.inf
+    assert cut_energy(np.array([1e200, 1e154, 1e154]), 1) == np.inf  # the sum
+    assert cut_energy(np.array([1e200, 1e150]), 1) == 1e150 ** 2
+    assert cut_energy(np.array([1e200]), 1) == 0.0
 
 
 def test_truncated_svd_tail_oracle():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as o
 from ttsketch import RngStream, SparseTensor
-from ttsketch.tensor import as_real, check_dense_size
+from ttsketch.tensor import as_real, check_dense_size, first_differing_mode
 
 
 def _graded_tensor():
@@ -144,6 +144,24 @@ def test_sparse_range_error_names_first_bad_mode():
         SparseTensor((3, 4, 5), [[0, 0, 0], [2, 4, 5]], [1.0, 2.0])
     with pytest.raises(ValueError, match="mode 0 for size 3"):
         SparseTensor((3, 4), [[0, 0], [-1, 1]], [1.0, 2.0])
+    # the first mode at fault is named, whichever row and bound fail first
+    with pytest.raises(ValueError, match="mode 1 for size 4"):
+        SparseTensor((3, 4, 5), [[2, 0, 9], [0, 4, 0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="mode 0 for size 3"):
+        SparseTensor((3, 4, 5), [[0, -1, 0], [3, 0, 0]], [1.0, 2.0])
+
+
+def test_sparse_range_check_at_the_int64_edge():
+    # The largest index of a mode of size 2^64 is 2^64 - 1, clipped to the
+    # int64 maximum: 2^63 - 1 is in range (comparing with the clipped size
+    # 2^63 - 1 itself would refuse it), and so is the same index in a mode
+    # of size 2^63.
+    top = 2 ** 63 - 1
+    for n in (2 ** 64, 2 ** 63):
+        xs = SparseTensor((2, n), [[1, top]], [1.0])
+        assert xs.idx.tolist() == [[1, top]]
+    with pytest.raises(ValueError, match=f"mode 1 for size {top}"):
+        SparseTensor((2, top), [[1, top]], [1.0])
 
 
 @st.composite
@@ -202,6 +220,9 @@ def _same_storage(shape, idx, values):
     assert np.array_equal(xs.idx, want[0])
     assert np.array_equal(xs.values, want[1])
     assert xs.idx.dtype == np.int64 and xs.idx.flags.c_contiguous
+    # the split is the stored rows', found once by the order check or the sort
+    want = first_differing_mode(xs.idx)
+    assert xs.split.dtype == want.dtype and np.array_equal(xs.split, want)
 
 
 _S = (4, 3)

@@ -1,5 +1,7 @@
 """Train representation: evaluation, clipping, orthogonalization, rounding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -300,3 +302,14 @@ def test_round_trusts_a_right_orthogonal_train(case):
     assert np.linalg.norm(tt_evaluate(got) - y) <= 1e-12 * np.linalg.norm(y)
     # the result holds new arrays only
     assert not any(np.shares_memory(a, c) for a in got.cores for c in r.cores)
+
+
+def test_round_of_a_train_of_norm_1e200_cuts_without_warning():
+    # The cut energy (2e400 here) is too large for a float; the rounding
+    # itself stays in range.
+    t = TTTensor([np.diag([1e200, 1e200]), np.eye(2)], ortho="right")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = tt_round(t, 1)
+    assert r.ranks == (1,)
+    assert np.array_equal(tt_evaluate(r), np.diag([1e200, 0.0]))
