@@ -7,8 +7,11 @@ come either from a relative singular value threshold (exact mode) or
 from prescribed targets (truncated mode).  The unfoldings are mostly
 wide, so each step takes the R factor of the long side and the SVD of
 that small square (Chan's R-SVD, ACM TOMS 8, 1982); the right singular
-factor, as large as the unfolding, is never formed.  Its error satisfies
-the usual sqrt(d-1) quasi-optimality factor against the unfolding tails.
+factor, as large as the unfolding, is never formed.  linalg.left_svd
+takes that R factor as a TSQR tree of cache-sized row blocks where the
+unfolding has few rows, so the sweep never copies a whole unfolding for
+LAPACK.  Its error satisfies the usual sqrt(d-1) quasi-optimality
+factor against the unfolding tails.
 
 The randomized path never forms the leading unfoldings at full size.
 Walking from the last mode down to the second, it sketches the current

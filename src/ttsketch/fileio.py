@@ -18,8 +18,11 @@ Values convert in one numpy call.  Sparse index tokens are read from
 their digits, a chunk of tokens at a time joined into one ASCII string; a
 chunk holding a token that is not 1 to 18 ASCII digits converts through
 numpy instead, so both routes load the same files with the same
-messages.  Writers put one record per line for dense values and sparse
-entries and one core per line for trains.  All values must be finite.
+messages.  Sparse indices are read as int64, so a file holds 1-based
+indices up to 2^63 - 1, in modes of any size; save_sparse refuses an
+entry past that before it opens the file.  Writers put one record per
+line for dense values and sparse entries and one core per line for
+trains.  All values must be finite.
 """
 
 import math
@@ -122,6 +125,13 @@ def load_dense(text):
 def save_sparse(path, x):
     if not isinstance(x, SparseTensor):
         raise TypeError("save_sparse expects a SparseTensor")
+    # The file's indices are 1-based and load_sparse reads them as int64,
+    # so the 0-based index 2^63 - 1 of a larger mode has no form it reads.
+    if x.idx.max(initial=-1) == _INT64_MAX:
+        row, k = np.argwhere(x.idx == _INT64_MAX)[0]
+        raise ValueError(
+            f"entry {row + 1}: index {_INT64_MAX + 1} of mode {k + 1} "
+            f"(1-based) exceeds the int64 maximum {_INT64_MAX} of sparse files")
     _write(path, ["sparse", x.ndim, *x.shape, x.nnz],
            (" ".join(str(int(i) + 1) for i in row) + " " + _fmt(v)
             for row, v in zip(x.idx, x.values)))
@@ -214,9 +224,12 @@ def _first_bad_entry(idx_tokens, values, shape):
                 return ValueError(
                     f"entry {row}: expected an integer index, got {tok!r}")
             if not 1 <= i <= min(shape[k], _INT64_MAX):
+                limit = (f"the int64 maximum {_INT64_MAX}"
+                         if i > _INT64_MAX and shape[k] > _INT64_MAX
+                         else f"mode size {shape[k]}")
                 return ValueError(
-                    f"entry {row}: index {i} out of range for mode "
-                    f"size {shape[k]} (indices are 1-based)")
+                    f"entry {row}: index {i} out of range for {limit} "
+                    f"(indices are 1-based)")
         try:
             value = float(value)
         except ValueError:

@@ -230,6 +230,42 @@ def test_sparse_index_range_at_the_int64_edge(tmp_path):
         assert load_tensor_file(path).idx.tolist() == [[0, 0], [2, top - 1]]
 
 
+def test_sparse_round_trip_at_the_largest_index_a_file_holds(tmp_path):
+    # 0-based 2^63 - 2 is 1-based 2^63 - 1, the int64 maximum.
+    x = SparseTensor((2, 2 ** 64), [[0, 0], [1, 2 ** 63 - 2]], [1.0, -2.5])
+    path = tmp_path / "s.txt"
+    save_sparse(path, x)
+    back = load_tensor_file(path)
+    assert back.shape == x.shape
+    assert back.idx.tolist() == [[0, 0], [1, 2 ** 63 - 2]]
+    assert back.values.tolist() == [1.0, -2.5]
+
+
+def test_sparse_writer_refuses_an_index_past_the_int64_maximum(tmp_path):
+    # 0-based 2^63 - 1 fits int64, but its 1-based form does not, so the
+    # reader could not load it back; nothing is written.
+    x = SparseTensor((2, 2 ** 64), [[0, 0], [1, 2 ** 63 - 1]], [1.0, 2.0])
+    path = tmp_path / "s.txt"
+    with pytest.raises(ValueError) as err:
+        save_sparse(path, x)
+    assert str(err.value) == (
+        "entry 2: index 9223372036854775808 of mode 2 (1-based) exceeds "
+        "the int64 maximum 9223372036854775807 of sparse files")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("size, message", [
+    (2 ** 64, "out of range for the int64 maximum 9223372036854775807"),
+    (2 ** 63, "out of range for the int64 maximum 9223372036854775807"),
+    (2 ** 63 - 1, "out of range for mode size 9223372036854775807"),
+])
+def test_sparse_reader_names_the_int64_maximum_below_the_mode_size(size, message):
+    with pytest.raises(ValueError) as err:
+        load_sparse(f"sparse 2 2 {size} 1  2 9223372036854775808 1.0")
+    assert str(err.value) == (
+        f"entry 1: index 9223372036854775808 {message} (indices are 1-based)")
+
+
 def test_tt_errors():
     with pytest.raises(ValueError):
         load_tt("tt 1 5")

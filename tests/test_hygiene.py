@@ -5,7 +5,8 @@ top-level function or class is referenced somewhere in the package, so
 no import or helper outlives the code that needed it.  The modules'
 imports of one another form no cycle, so the package reads in layers.
 Only tensor.as_real casts to float64, so every reader refuses complex
-input the same way.
+input the same way, and only linalg calls numpy's LAPACK factorizations,
+so every factor takes its signs from one place.
 """
 
 import ast
@@ -167,3 +168,57 @@ def test_only_as_real_casts_to_float64():
     sites = {(module, where) for module, tree in MODULES.items()
              for where in _float64_casts(tree)}
     assert sites == {("tensor", "as_real")}
+
+
+# numpy.linalg's functions that call LAPACK; its norms and products do not.
+_LAPACK = {"cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv",
+           "lstsq", "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd",
+           "svdvals", "tensorinv", "tensorsolve"}
+
+
+def _lapack_names(tree):
+    """The numpy.linalg factorizations a module names, in every form:
+    `np.linalg.f` with np bound to numpy, `la.f` with la bound to
+    numpy.linalg, and `from numpy.linalg import f`."""
+    numpy, numpy_linalg, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy.linalg" and alias.asname:
+                    numpy_linalg.add(alias.asname)
+                elif alias.name in ("numpy", "numpy.linalg"):  # both bind numpy
+                    numpy.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "numpy":
+                numpy_linalg.update(alias.asname or alias.name
+                                    for alias in node.names if alias.name == "linalg")
+            elif node.module == "numpy.linalg":
+                found += [alias.name for alias in node.names if alias.name in _LAPACK]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _LAPACK:
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id in numpy_linalg
+                    or isinstance(base, ast.Attribute) and base.attr == "linalg"
+                    and isinstance(base.value, ast.Name) and base.value.id in numpy):
+                found.append(node.attr)
+    return found
+
+
+def test_lapack_finder_finds_every_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import cholesky, norm\n"
+        "from . import linalg as own\n"
+        "a = np.linalg.qr(x), la.eigh(x), linalg.svd(x), np.linalg.norm(x)\n"
+        "b = own.qr(x), x.qr(), np.qr\n"
+    )
+    assert sorted(_lapack_names(tree)) == ["cholesky", "eigh", "qr", "svd"]
+    assert _lapack_names(ast.parse("import numpy.linalg\nnumpy.linalg.inv(x)")) == ["inv"]
+
+
+def test_only_linalg_calls_lapack():
+    names = {module: sorted(set(_lapack_names(tree))) for module, tree in MODULES.items()}
+    assert {module for module, found in names.items() if found} == {"linalg"}
+    assert names["linalg"] == ["qr", "svd"]

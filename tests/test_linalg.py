@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from ttsketch import RngStream
+from ttsketch import RngStream, clip_ranks, random_tt, tt_evaluate, tt_svd_exact
+from ttsketch import linalg
 from ttsketch.linalg import (
-    _fix_svd_signs, cut_energy, left_svd, numerical_rank, qr,
+    _fix_svd_signs, _tall_r, cut_energy, left_svd, numerical_rank, qr,
     rq_row_orthonormal, svd, truncated_svd,
 )
 
@@ -123,6 +124,86 @@ def test_left_svd_matches_numpy_svd(case):
     # Sign convention of _fix_svd_signs: largest-magnitude entry nonnegative.
     top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     assert np.all(top >= 0.0)
+
+
+def _block_rows(k):
+    return linalg._BLOCK_ELEMENTS // k
+
+
+# Around one block (rows - 1, rows, rows + 1), two blocks and a leftover,
+# and trees of two or more levels (16 x 65536: 128 blocks of 512 rows,
+# then 4 of 512 rows of stacked R factors; 40 x 16384: 80 blocks of 204
+# rows, then 16, then one).
+_TREE_SHAPES = [(16, _block_rows(16) + dm) for dm in (-1, 0, 1)] + [
+    (16, 2 * _block_rows(16) + 3), (40, _block_rows(40) + 1),
+    (40, 2 * _block_rows(40) + 3), (4, 4 ** 9), (16, 65536), (40, 16384)]
+
+
+@pytest.mark.parametrize("inner", [None, 3], ids=["full", "rank3"])
+@pytest.mark.parametrize("shape", _TREE_SHAPES, ids=str)
+def test_blocked_left_svd_matches_numpy_svd(shape, inner):
+    a = _svd_case(shape, inner, shape[1])
+    u, s = left_svd(a)
+    want_u, want_s, _ = np.linalg.svd(a, full_matrices=False)
+    s0 = want_s[0]
+    assert np.max(np.abs(s - want_s)) <= 1e-13 * s0
+    # u diag(s) u^T is (a a^T)^(1/2), whatever the multiplicities of s.
+    root, want_root = (w * t @ w.T for w, t in ((u, s), (want_u, want_s)))
+    assert np.max(np.abs(root - want_root)) <= 1e-13 * s0
+    r = numerical_rank(s, 1e-12)
+    assert r == numerical_rank(want_s, 1e-12) == (inner or shape[0])
+    # The range of an exactly low-rank a is the span of its first r columns.
+    p, want_p = (w[:, :r] @ w[:, :r].T for w in (u, want_u))
+    assert np.max(np.abs(p - want_p)) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(16, 65536), (40, 16384), (45, 300)], ids=str)
+def test_blocked_r_of_a_zero_matrix_is_zero(shape):
+    a = np.zeros(shape)
+    assert not _tall_r(a.T).any()
+    u, s = left_svd(a)
+    assert not s.any() and np.array_equal(u, np.eye(shape[0]))
+
+
+@pytest.mark.parametrize("k, m", [
+    (46, 10 ** 4),  # 178-row blocks, fewer than 4k rows: never blocked
+    (45, _block_rows(45)),  # 182-row blocks: one block is one call
+    (16, _block_rows(16)), (4, _block_rows(4)), (1, 200),
+])
+def test_unblocked_r_is_the_single_lapack_call(k, m):
+    a = _svd_case((k, m), None, k)
+    assert np.array_equal(_tall_r(a.T), np.linalg.qr(a.T, mode="r"))
+    u, s = left_svd(a)
+    want_u, want_s, _ = svd(np.linalg.qr(a.T, mode="r").T)
+    assert np.array_equal(u, want_u) and np.array_equal(s, want_s)
+
+
+def test_blocks_are_cut_up_to_k_45():
+    assert _block_rows(45) >= linalg._MIN_ROWS_PER_COLUMN * 45
+    assert _block_rows(46) < linalg._MIN_ROWS_PER_COLUMN * 46
+
+
+def test_blocked_left_svd_copies_a_quarter_of_its_input_at_most():
+    # A single LAPACK call copies the whole 8 MiB input; the tree copies
+    # one group of blocks (1 MiB) and the stacked R factors (1/32 of it).
+    a = _svd_case((16, 65536), None, 0)
+    assert o.peak_bytes(lambda: left_svd(a)) <= a.nbytes / 4 + 2 ** 20
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((4,) * 10, 6), ((4,) * 10, 12), ((2,) * 18, 6), ((3,) * 11, 6),
+], ids=["4^10-r6", "4^10-r12", "2^18-r6", "3^11-r6"])
+def test_exact_sweep_keeps_the_ranks_of_exact_trains(shape, rank):
+    x = tt_evaluate(random_tt(shape, rank, RngStream(rank)))
+    t, report = tt_svd_exact(x)
+    assert report.ranks == clip_ranks(shape, rank)
+    assert np.linalg.norm(tt_evaluate(t) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("m", [5, 10 ** 4])
+def test_left_svd_of_a_matrix_without_rows_is_empty(m):
+    u, s = left_svd(np.zeros((0, m)))
+    assert u.shape == (0, 0) and s.shape == (0,)
 
 
 def test_left_svd_rejects_non_matrices():
