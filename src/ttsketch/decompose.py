@@ -40,7 +40,11 @@ are one matrix product per mode value, so the cost grows linearly in the
 order at fixed N and s, and falls where the entries share prefixes.
 The dense step derives its lead positions' codes chunk by chunk from the
 parent level's; the sparse sweep keeps one code per row and steps it
-back one index per step, by the mixer's inverse.
+back one index per step, by the mixer's inverse.  The identity steps
+before the first draw (below) only move each stored value to its
+suffix's column, so the sparse remainder defers them and places every
+entry once, by one scatter into one row per distinct prefix, and builds
+codes for those rows alone.
 
 Each sweep's loop bounds its ranks by its unfoldings' rows and columns (a
 sketch takes at most as many rows as the unfolding has), so the entry
@@ -50,8 +54,10 @@ only rotates the remainder: a sketch with at least as many rows as the
 unfolding has columns (the range finder's exact case; Halko, Martinsson &
 Tropp, SIAM Rev. 53, 2011, sec. 4), or a truncation target of at least the
 unfolding's rows where it has no more rows than columns.  Both sweeps make
-such a step an identity core and draw, multiply, factor and copy nothing;
-the exact sweep's ranks depend on the singular values, so it factors all.
+such a step an identity core and draw, factor and copy nothing; only a
+sparse identity step after a draw multiplies, by the identity, to keep
+one update path.  The exact sweep's ranks depend on the singular values,
+so it factors all.
 
 Every entry point takes a finite real dense array (NaN, inf or a complex
 dtype raises ValueError) or a SparseTensor, which the deterministic sweeps
@@ -321,41 +327,80 @@ class _SparseRemainder:
     lists the rows sorted by their index in the current mode, the order of
     `vals` and `mu`.
 
+    The steps before the first draw are identity steps, which only move
+    each entry to its suffix's column, so the rows are placed once, at the
+    first sketch or first core (_place): after identity steps d..m+1 each
+    entry's value sits in the row of its prefix idx[:, :m], at the
+    row-major index of its suffix idx[:, m:], and nothing else is nonzero.
+    Distinct entries only add to zeros there, so the placed rows are the
+    ones the identity updates and merges would build, bit for bit.  An
+    identity step after a draw projects like any other step.
+
     The Gaussian column of a row depends on its prefix idx[:, :j-1] alone,
     through the prefix's code: `codes` holds each row's code at the current
     step and steps back one index per step (extend_codes is invertible), so
-    one level is ever held.  The rows are in canonical order, so those
-    sharing a prefix are adjacent: a new prefix starts wherever a row first
-    differs from the one before it in a mode below j-1 (its `split`, which
-    starts as the tensor's).  The runs come from the indices, not the
-    codes; the same runs pick the Gaussian columns and, after the update,
-    the rows that are added.
+    one level is ever held, and it is first built for the placed rows only.
+    The rows are in canonical order, so those sharing a prefix are adjacent:
+    a new prefix starts wherever a row first differs from the one before it
+    in a mode below j-1 (its `split`, which starts as the tensor's).  The
+    runs come from the indices, not the codes; the same runs place the
+    entries, pick the Gaussian columns and, after an update, the rows that
+    are added.
     """
 
     def __init__(self, xs):
         self.idx, self.shape = xs.idx, xs.shape
-        self.codes = np.zeros(xs.nnz, dtype=np.uint64)
-        for k in range(xs.ndim - 1):
-            self.codes = _kernels.extend_codes(self.codes, xs.idx[:, k])
-        self.split = xs.split
-        # A prefix of length j-1 repeats where some split reaches j-1.
-        self.deepest = int(self.split.max())
-        self.rows = np.arange(xs.nnz)
-        self.vals = xs.values[:, None]
-        self.order = self.rows
+        self.values, self.split = xs.values, xs.split
+        # The prefix length of the rows while every step so far was the
+        # identity; None once they are placed.
+        self.pending = xs.ndim
         self.runs = (None,)
-        self._sort(xs.ndim, xs.idx[:, -1])
+
+    def _place(self):
+        """One row per distinct prefix of length m = pending, each entry's
+        value at its suffix's row-major column, rows sorted by mode m."""
+        m, self.pending = self.pending, None
+        d = len(self.shape)
+        new = self.split < m  # split[0] == 0, so entry 0 starts a prefix
+        # The identity steps d..m+1 merged last at step c+1, c the smallest
+        # split at or past m: rows in canonical order, then one stable sort
+        # per step, by modes c, c-1, ..., m.  So the rows sort by their
+        # indices in modes m+1..c before mode m.
+        c = int(self.split[~new].min(initial=d))
+        self.rows = np.flatnonzero(new)
+        self.split = self.split[new]
+        self.deepest = int(self.split.max())
+        self.codes = np.zeros(len(self.rows), dtype=np.uint64)
+        for k in range(m - 1):
+            self.codes = _kernels.extend_codes(self.codes, self.idx[self.rows, k])
+        t = element_count(self.shape[m:])
+        within = np.zeros(len(self.rows), dtype=np.int64)
+        for k in range(m, c):
+            within *= self.shape[k]
+            within += self.idx[self.rows, k]
+        self.order = np.argsort(within.astype(np.min_scalar_type(t - 1)), kind="stable")
+        self._sort(m, self.idx[self.rows, m - 1])
+        # Each entry's row in the sorted order, then by Horner's rule over
+        # its suffix its position in vals: row * t + column.
+        where = np.empty_like(self.order)
+        where[self.order] = np.arange(len(self.order))
+        flat = where[np.cumsum(new) - 1]
+        for k in range(m, d):
+            flat *= self.shape[k]
+            flat += self.idx[:, k]
+        self.vals = np.zeros((len(self.rows), t))
+        self.vals.reshape(-1)[flat] = self.values
 
     def _sort(self, j, column):
         # Rows by mode j for step j, whose indices in canonical row order are
         # column; stable, so the order is reproducible, and a narrow key
-        # lets numpy use its radix sort.
+        # lets numpy use its radix sort.  The caller moves vals.
         n_j = self.shape[j - 1]
         mu = column[self.order]
         by_mode = np.argsort(mu.astype(np.min_scalar_type(n_j - 1)), kind="stable")
         self.order = self.order[by_mode]
         self.mu = mu[by_mode]
-        self.vals = self.vals[by_mode]
+        return by_mode
 
     def _runs(self, j):
         """Which rows start a prefix of length j-1, in canonical order, and
@@ -370,12 +415,17 @@ class _SparseRemainder:
         # time and freed on return: a step holds the projected rows, the
         # columns per prefix and one group's gathered columns, then the
         # projected rows beside the next ones.
+        if self.pending is not None:
+            self._place()
         new, run = self._runs(j)
         gam = _kernels.gammas_at(self.codes[new], s, key)
         a = _kernels.sparse_sketch(self.mu, self.vals, gam, run, self.shape[j - 1])
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(s, -1)
 
     def project(self, j, q):
+        if q is None and self.pending is not None:
+            self.pending = j - 1
+            return
         n_j = self.shape[j - 1]
         q = np.eye(n_j * self.vals.shape[1]) if q is None else q
         w = q.reshape(q.shape[0], n_j, -1).transpose(1, 0, 2)
@@ -385,7 +435,7 @@ class _SparseRemainder:
                 self._merge(j)
             column = self.idx[self.rows, j - 2]
             self.codes = _kernels.parent_codes(self.codes, column)
-            self._sort(j - 1, column)
+            self.vals = self.vals[self._sort(j - 1, column)]
 
     def _merge(self, j):
         # The rows of a run are added in the sorted row order into one row
@@ -404,6 +454,8 @@ class _SparseRemainder:
 
     def first_core(self):
         # bincount adds each column in row order, as a scatter-add would.
+        if self.pending is not None:
+            self._place()
         first, n_1 = self.idx[self.rows[self.order], 0], self.shape[0]
         return np.column_stack([np.bincount(first, v, n_1) for v in self.vals.T])
 

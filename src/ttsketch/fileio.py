@@ -11,20 +11,22 @@ d, the mode sizes and any further header integers, then the body:
                                    followed by the cores in order, each
                                    flattened row-major
 
-Readers split the text once and cut the header and any trailing tokens
-out of that token list in place, so line breaks are cosmetic; a short
-body is reported before a bad value in it, trailing tokens after it.
-Values convert in one numpy call.  Sparse index tokens are read from
-their digits, a chunk of tokens at a time joined into one ASCII string; a
-chunk holding a token that is not 1 to 18 ASCII digits converts through
-numpy instead, so both routes load the same files with the same
-messages.  Sparse indices are read as int64, so a file holds 1-based
-indices up to 2^63 - 1, in modes of any size; save_sparse refuses an
-entry past that before it opens the file.  Writers put one record per
+Readers walk the text a chunk at a time, with one str.split per chunk; a
+token or entry cut at a chunk's end moves to the next chunk, so line
+breaks are cosmetic and no list of all tokens is ever held.  Each chunk's
+values convert in one numpy call into a preallocated float64 array; a
+short body is reported before a bad value in it, trailing tokens after
+it.  Sparse index tokens are read from their digits, a chunk's tokens
+joined into one ASCII string; a chunk holding a token that is not 1 to 18
+ASCII digits converts through numpy instead, so both routes load the same
+files with the same messages.  Sparse indices are read as int64, so a
+file holds 1-based indices up to 2^63 - 1, in modes of any size;
+save_sparse refuses an entry past that before it opens the file.  Writers put one record per
 line for dense values and sparse entries and one core per line for
 trains.  All values must be finite.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -36,9 +38,10 @@ from .tensor import (
 from .tt import TTTensor, core_shapes
 
 
-# Index tokens read per chunk, and the most digits read by digit arithmetic
-# (10^18 - 1 < 2^63 - 1).
-_CHUNK = 2 ** 14
+# Characters of text split per chunk, and the most digits read by digit
+# arithmetic (10^18 - 1 < 2^63 - 1).  A chunk's tokens and the arrays that
+# convert them take about 2 MB on a sparse index table.
+_CHUNK = 2 ** 16
 _MAX_DIGITS = 18
 
 
@@ -46,17 +49,39 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def _split(text, tag, extra):
+def _chunks(text):
+    """The tokens of text, one list per _CHUNK characters; a token cut at a
+    chunk's end moves whole to the next list."""
+    carry = ""
+    for lo in range(0, len(text), _CHUNK):
+        piece = carry + text[lo:lo + _CHUNK]
+        tokens = piece.split()
+        carry = ""
+        if tokens and lo + _CHUNK < len(text) and not piece[-1].isspace():
+            carry = tokens.pop()
+        yield tokens
+
+
+def _open(text, tag, extra):
     """The shape, the extra(d) header ints and the body of a `tag` file.
 
-    Splits the text once and deletes the header (tag, order d, d mode
-    sizes, extra(d) ints) from the front of the token list in place; the
-    rest of the list is the body.
+    The header (tag, order d, d mode sizes, extra(d) ints) is read from the
+    first chunks; the body is the rest of the walk: the tokens left in the
+    header's chunk, then the chunks after it.
     """
     what = "tensor train" if tag == "tt" else f"{tag} tensor"
-    tokens = text.split()
+    chunks = _chunks(text)
+    tokens = []
+
+    def fill(count):
+        while len(tokens) < count:
+            more = next(chunks, None)
+            if more is None:
+                break
+            tokens.extend(more)
 
     def ints(start, count):
+        fill(start + count)
         out = []
         for tok in tokens[start:start + count]:
             try:
@@ -68,6 +93,7 @@ def _split(text, tag, extra):
             raise ValueError(f"truncated {what} data")
         return out
 
+    fill(1)
     if tokens[:1] != [tag]:
         raise ValueError(f"not a {what} file" if tokens else f"truncated {what} data")
     d = ints(1, 1)[0]
@@ -76,25 +102,64 @@ def _split(text, tag, extra):
     shape = check_shape(ints(2, d))
     head = ints(2 + d, extra(d))
     del tokens[:2 + d + len(head)]
-    return shape, head, tokens
+    return shape, head, itertools.chain([tokens], chunks)
 
 
-def _cut(tokens, count, what):
-    """Keep the first `count` body tokens in place; True if more followed."""
-    if len(tokens) < count:
+def _room(text, count, what):
+    """count, if the text can hold that many body tokens: each takes a
+    character and all but the last a separator.  A count it cannot hold is
+    a short body, reported before anything is allocated for it."""
+    if 2 * count - 1 > len(text):
         raise ValueError(f"truncated {what} data")
-    trailing = len(tokens) > count
-    del tokens[count:]
+    return count
+
+
+def _walk(body, count, record, what, take):
+    """Hand the first `count` body tokens to take(start, tokens), in lists
+    of whole records of `record` tokens, start the index of the list's
+    first record; True if more tokens follow.
+
+    A body too short raises first, then the first ValueError of take, after
+    which the rest is only counted.
+    """
+    done, part, error, trailing = 0, [], None, False
+    for tokens in body:
+        tokens[:0] = part
+        trailing = len(tokens) > count - done
+        del tokens[count - done:]
+        cut = len(tokens) - len(tokens) % record
+        part = tokens[cut:]
+        del tokens[cut:]
+        if tokens and error is None:
+            try:
+                take(done // record, tokens)
+            except ValueError as exc:
+                error = exc
+        done += cut
+        if trailing:
+            break
+    if done < count:
+        raise ValueError(f"truncated {what} data")
+    if error is not None:
+        raise error
     return trailing
 
 
-def _floats(tokens, what):
-    try:
-        vals = np.array(tokens, dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"bad number in {what}: {exc}") from None
+def _floats(text, body, count, what, where):
+    """The first `count` body tokens as float64, all finite, and no more."""
+    vals = np.empty(_room(text, count, what))
+
+    def take(start, tokens):
+        try:
+            vals[start:start + len(tokens)] = np.array(tokens, dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"bad number in {where}: {exc}") from None
+
+    trailing = _walk(body, count, 1, what, take)
     if not (np.isfinite(vals.min(initial=0.0)) and np.isfinite(vals.max(initial=0.0))):
-        raise ValueError(f"non-finite value in {what}")
+        raise ValueError(f"non-finite value in {where}")
+    if trailing:
+        raise ValueError(f"trailing tokens in {what} data")
     return vals
 
 
@@ -114,12 +179,9 @@ def save_dense(path, x):
 
 
 def load_dense(text):
-    shape, _, tokens = _split(text, "dense", lambda d: 0)
-    trailing = _cut(tokens, check_dense_size(shape), "dense tensor")
-    vals = _floats(tokens, "dense values")
-    if trailing:
-        raise ValueError("trailing tokens in dense tensor data")
-    return vals.reshape(shape)
+    shape, _, body = _open(text, "dense", lambda d: 0)
+    count = check_dense_size(shape)
+    return _floats(text, body, count, "dense tensor", "dense values").reshape(shape)
 
 
 def save_sparse(path, x):
@@ -138,46 +200,41 @@ def save_sparse(path, x):
 
 
 def load_sparse(text):
-    shape, (nnz,), tokens = _split(text, "sparse", lambda d: 1)
+    shape, (nnz,), body = _open(text, "sparse", lambda d: 1)
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
-    # The entries as one table: d 1-based indices and a value per entry,
-    # cut out of the token list in place rather than copied from it; the
-    # values convert in one shot and the indices chunk by chunk.  Any
-    # failure takes the slow path, which walks the whole token list to
-    # name the first entry at fault.  Trailing tokens are reported only
-    # for a table that loads.
+    # The entries as a table of d 1-based indices and a value per entry,
+    # converted a chunk of whole entries at a time: the values in one shot,
+    # the indices from their digits.  A chunk that fails takes the slow
+    # path, which walks its entries to name the first at fault.  Trailing
+    # tokens are reported only for a table that loads.
     d = len(shape)
-    trailing = _cut(tokens, nnz * (d + 1), "sparse tensor")
-    values = tokens[d::d + 1]
-    del tokens[d::d + 1]
-    try:
-        values = np.array(values, dtype=np.float64)
-        idx = _indices(tokens).reshape(nnz, d)
-        top = np.array([min(n, _INT64_MAX) for n in shape], dtype=np.int64)
-        ok = (idx.min(initial=1) >= 1 and not (idx > top).any()
-              and np.isfinite(values.min(initial=0.0))
-              and np.isfinite(values.max(initial=0.0)))
-    except (ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise _first_bad_entry(tokens, values, shape)
-    del tokens
-    if trailing:
+    count = _room(text, nnz * (d + 1), "sparse tensor")
+    top = np.array([min(n, _INT64_MAX) for n in shape], dtype=np.int64)
+    values = np.empty(nnz)
+    idx = np.empty((nnz, d), dtype=np.int64)
+
+    def take(row, tokens):
+        vals = tokens[d::d + 1]
+        del tokens[d::d + 1]
+        end = row + len(vals)
+        try:
+            vals = np.array(vals, dtype=np.float64)
+            got = _from_digits(tokens)
+            idx[row:end] = (np.array(tokens, dtype=np.int64) if got is None
+                            else got).reshape(-1, d)
+            ok = (idx[row:end].min() >= 1 and not (idx[row:end] > top).any()
+                  and np.isfinite(vals.min()) and np.isfinite(vals.max()))
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise _first_bad_entry(tokens, vals, shape, row)
+        values[row:end] = vals
+
+    if _walk(body, count, d + 1, "sparse tensor", take):
         raise ValueError("trailing tokens in sparse tensor data")
     idx -= 1
     return SparseTensor(shape, idx, values)
-
-
-def _indices(tokens):
-    """The index tokens as one int64 array, read _CHUNK tokens at a time, so
-    that a chunk's joined text stays small beside the token list."""
-    out = np.empty(len(tokens), dtype=np.int64)
-    for lo in range(0, len(tokens), _CHUNK):
-        part = tokens[lo:lo + _CHUNK]
-        got = _from_digits(part)
-        out[lo:lo + len(part)] = np.array(part, dtype=np.int64) if got is None else got
-    return out
 
 
 def _from_digits(part):
@@ -208,16 +265,18 @@ def _from_digits(part):
     return out
 
 
-def _first_bad_entry(idx_tokens, values, shape):
-    """The error naming the first sparse entry that does not load.
+def _first_bad_entry(idx_tokens, values, shape, before=0):
+    """The error naming the first sparse entry that does not load, of the
+    entries after the first `before`.
 
     Walks the entries in order with the conversions of the one-shot path:
     int for the index tokens (at most the int64 maximum) and float for the
     value, given as a token or as the number already converted.
     """
     d = len(shape)
-    for row, value in enumerate(values, 1):
-        for k, tok in enumerate(idx_tokens[(row - 1) * d:row * d]):
+    for i, value in enumerate(values):
+        row = before + i + 1
+        for k, tok in enumerate(idx_tokens[i * d:(i + 1) * d]):
             try:
                 i = int(tok)
             except ValueError:
@@ -249,17 +308,14 @@ def save_tt(path, t):
 
 
 def load_tt(text):
-    shape, ranks, tokens = _split(text, "tt", lambda d: d - 1)
+    shape, ranks, body = _open(text, "tt", lambda d: d - 1)
     if len(shape) < 2:
         raise ValueError("a tensor train needs order >= 2")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
     dims = core_shapes(shape, ranks)
     sizes = [element_count(dim) for dim in dims]
-    trailing = _cut(tokens, sum(sizes), "tensor train")
-    vals = _floats(tokens, "tt core")
-    if trailing:
-        raise ValueError("trailing tokens in tensor train data")
+    vals = _floats(text, body, sum(sizes), "tensor train", "tt core")
     parts = np.split(vals, np.cumsum(sizes[:-1]))
     return TTTensor([part.reshape(dim) for part, dim in zip(parts, dims)])
 
@@ -268,8 +324,7 @@ def load_tensor_file(path):
     """Load a dense or sparse tensor file, deciding by the leading tag."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    # Keep only the tag: the rest of a split in two is a copy of the text.
-    tag = text.split(None, 1)[:1]
+    tag = next(filter(None, _chunks(text)), [])[:1]
     if not tag:
         raise ValueError(f"{path}: empty tensor file")
     if tag[0] == "dense":

@@ -28,7 +28,8 @@ unfolding, the remainder carried as s * vt, kept word for word.
 ref_resolve_config is the experiment driver's earlier per-study if chain,
 kept word for word as the reference for the table that replaced it, and
 ref_load_sparse is the sparse file reader before it read its index
-tokens by their digits, kept word for word with the package's helpers.
+tokens by their digits or walked the text in chunks, kept word for word
+with its own whole-text split and the package's first_bad_entry.
 matricize, contract and inner are the dense mode-wise helpers the tests
 unfold and contract with, checked against naive_matricize, naive_contract
 and naive_inner.
@@ -61,14 +62,58 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def _ref_split(text, tag, extra):
+    """The shape, the extra(d) header ints and the body of a `tag` file.
+
+    Splits the text once and deletes the header (tag, order d, d mode
+    sizes, extra(d) ints) from the front of the token list in place; the
+    rest of the list is the body.
+    """
+    from ttsketch.tensor import check_shape
+
+    what = "tensor train" if tag == "tt" else f"{tag} tensor"
+    tokens = text.split()
+
+    def ints(start, count):
+        out = []
+        for tok in tokens[start:start + count]:
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"expected an integer in {tag} header, got {tok!r}") from None
+        if len(out) < count:
+            raise ValueError(f"truncated {what} data")
+        return out
+
+    if tokens[:1] != [tag]:
+        raise ValueError(f"not a {what} file" if tokens else f"truncated {what} data")
+    d = ints(1, 1)[0]
+    if d < 1:
+        raise ValueError("order must be positive")
+    shape = check_shape(ints(2, d))
+    head = ints(2 + d, extra(d))
+    del tokens[:2 + d + len(head)]
+    return shape, head, tokens
+
+
+def _ref_cut(tokens, count, what):
+    """Keep the first `count` body tokens in place; True if more followed."""
+    if len(tokens) < count:
+        raise ValueError(f"truncated {what} data")
+    trailing = len(tokens) > count
+    del tokens[count:]
+    return trailing
+
+
 def ref_load_sparse(text):
     """The sparse reader as it was before it read its index tokens from
-    their digits: one np.array call for the whole index table and per-mode
-    range checks, kept word for word."""
-    from ttsketch.fileio import _cut, _first_bad_entry, _split
+    their digits: one split of the whole text, one np.array call for the
+    whole index table and per-mode range checks, kept word for word."""
+    from ttsketch.fileio import _first_bad_entry
     from ttsketch.tensor import SparseTensor
 
-    shape, (nnz,), tokens = _split(text, "sparse", lambda d: 1)
+    shape, (nnz,), tokens = _ref_split(text, "sparse", lambda d: 1)
     if nnz < 0:
         raise ValueError("entry count must be nonnegative")
     # The entries as one table: d 1-based indices and a value per entry,
@@ -77,7 +122,7 @@ def ref_load_sparse(text):
     # names the first entry at fault.  Trailing tokens are reported only
     # for a table that loads.
     d = len(shape)
-    trailing = _cut(tokens, nnz * (d + 1), "sparse tensor")
+    trailing = _ref_cut(tokens, nnz * (d + 1), "sparse tensor")
     values = tokens[d::d + 1]
     del tokens[d::d + 1]
     try:

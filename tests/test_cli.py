@@ -1,10 +1,13 @@
 """Command line entry point, run in process."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
 
+import oracles as o
+from test_fileio import _CHUNK_ALLOWANCE
 from ttsketch import RngStream, SparseTensor, gaussian_sparse, random_tt, tt_evaluate
 from ttsketch.cli import main
 from ttsketch.experiments import CSV_COLUMNS, CSV_VERSION
@@ -79,6 +82,51 @@ def test_decompose_sparse_det_prints_the_error(tmp_path, capsys):
     assert code == 0
     err = float(capsys.readouterr().out.split("rel_error=")[1])
     assert err < 1e-12  # rank 10 covers every unfolding of 4x4x4
+
+
+def _outer_product_sum(shape, supports, terms, seed):
+    """A sum of sparse outer products, stored sparse: each term is the outer
+    product of random vectors on random supports, as in the benchmark's
+    sparse file."""
+    rng = np.random.default_rng(seed)
+    codes, values = [], []
+    for _ in range(terms):
+        pos = [np.sort(rng.choice(n, size=k, replace=False)) for n, k in zip(shape, supports)]
+        term = np.ones(())
+        for k in supports:
+            term = np.multiply.outer(term, rng.standard_normal(k))
+        grid = np.meshgrid(*pos, indexing="ij")
+        codes.append(np.ravel_multi_index([g.ravel() for g in grid], shape))
+        values.append(term.ravel())
+    code, at = np.unique(np.concatenate(codes), return_inverse=True)
+    return SparseTensor(shape, np.stack(np.unravel_index(code, shape), axis=1),
+                        np.bincount(at, np.concatenate(values)))
+
+
+def test_decompose_sparse_file_holds_the_text_and_two_tensors(tmp_path):
+    # Two outer products at 16^6, supports (6, 6, 6, 5, 5, 8): N = 86400
+    # entries, one row per 8 of them at the distinct prefixes of length 5.
+    # At width r + p = 16 step 6 is the identity (16 >= its 16 columns).
+    # The command holds the text while it loads and the SparseTensor from
+    # then on, 8 d + 9 bytes an entry.  Beside them:
+    # - the load holds the SparseTensor's checks (a boolean per index and
+    #   three int64 an entry, less than the tensor) and one chunk
+    #   (_CHUNK_ALLOWANCE);
+    # - the sweep holds its rows, one per distinct prefix of the first
+    #   drawing step, 16 wide (16 N bytes here), beside their projection,
+    #   and a few arrays of N integers: less than the tensor again.
+    # A list of the whole text's tokens, or an update of every entry at the
+    # identity step (N x 16 floats), does not fit.
+    x = _outer_product_sum((16,) * 6, (6, 6, 6, 5, 5, 8), 2, seed=4)
+    assert x.nnz == 86400
+    src, dst = tmp_path / "s.txt", tmp_path / "s.tt"
+    save_sparse(src, x)
+    argv = ["decompose", "--input", str(src), "--method", "rand",
+            "--r", "12", "--p", "4", "--seed", "1", "--out", str(dst)]
+    peak = o.peak_bytes(lambda: main(argv))
+    tensor = x.idx.nbytes + x.values.nbytes + x.split.nbytes
+    assert peak < os.path.getsize(src) + 2 * tensor + _CHUNK_ALLOWANCE
+    assert load_tt_file(dst).shape == x.shape
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170])

@@ -1,5 +1,6 @@
 """Text formats: round trips, 1-based indices on disk, error reporting."""
 
+import math
 import os
 import random
 import tempfile
@@ -192,10 +193,18 @@ def test_sparse_reader_messages_are_exact(text, message):
     assert str(err.value) == message
 
 
-def test_sparse_load_holds_one_token_list():
-    # Beside the token list that splitting the text makes, the load holds
-    # the result and the list of value tokens; a second copy of the entry
-    # table's tokens (d + 1 list slots per entry) does not fit.
+# A chunk of _CHUNK characters holds at most _CHUNK / 2 tokens.  Each
+# takes a list slot and a str object, under 64 bytes for tokens as short as
+# those below, and the chunk's conversion about as much again: under 64
+# bytes per character of a chunk, whatever the length of the text.
+_CHUNK_ALLOWANCE = 64 * fileio._CHUNK
+
+
+def test_sparse_load_holds_no_token_list():
+    # Beside the text the load holds the result (8 d + 9 bytes an entry),
+    # the SparseTensor's checks on it (at most a boolean per index and three
+    # int64 an entry) and one chunk.  A list of the whole body's tokens,
+    # d + 1 list slots and about 4 str objects an entry here, does not fit.
     rng = np.random.default_rng(0)
     d, n = 8, 20000
     idx = np.unique(rng.integers(0, 50, (n, d)), axis=0)
@@ -204,9 +213,8 @@ def test_sparse_load_holds_one_token_list():
         [" ".join(["sparse", str(d)] + ["50"] * d + [str(n)])]
         + [" ".join(map(str, row + 1)) + " " + format(v, ".17g")
            for row, v in zip(idx, rng.standard_normal(n))])
-    tokens = o.peak_bytes(text.split)
     peak = o.peak_bytes(lambda: load_sparse(text))
-    assert peak < tokens + 8 * (d + 1) * n
+    assert peak < (8 * d + 9) * n + (d + 24) * n + _CHUNK_ALLOWANCE
 
 
 def test_sparse_line_breaks_are_cosmetic():
@@ -324,17 +332,15 @@ def test_dense_reader_messages_are_exact(text, message):
     assert str(err.value) == message
 
 
-def test_dense_load_holds_one_token_list():
-    # Beside the token list that splitting the text makes, the load holds
-    # the result, 8 bytes a value; a second list of the value tokens (8
-    # bytes a slot) or a list of python floats (32 bytes a value) does
-    # not fit.
-    n = 40000
+def test_dense_load_holds_no_token_list():
+    # Beside the text the load holds the result, 8 bytes a value, and one
+    # chunk.  A list of the whole body's tokens (a list slot and a str object
+    # of about 70 bytes a value) does not fit.
+    n = 160000
     x = np.random.default_rng(0).standard_normal(n)
-    text = f"dense 2 200 {n // 200}\n" + "\n".join(format(v, ".17g") for v in x)
-    tokens = o.peak_bytes(text.split)
+    text = f"dense 2 400 {n // 400}\n" + "\n".join(format(v, ".17g") for v in x)
     peak = o.peak_bytes(lambda: load_dense(text))
-    assert peak < tokens + 16 * n
+    assert peak < 8 * n + _CHUNK_ALLOWANCE
 
 
 def test_unknown_tag(tmp_path):
@@ -444,6 +450,11 @@ _ODD_INDICES = ["+1", "+03", "1_0", "\u0661", "\u0662\u0663", "\uff12",
                 "-1", "-0", "0", "1.5", "x", "1e1", "2\x00", "1:", "/1"]
 
 
+# Chunks of a few characters cut tokens, entries and headers anywhere; the
+# default chunk holds each text whole.
+_CHUNKS = [1, 2, 3, 4, 5, 7, 8, 13, 64, fileio._CHUNK]
+
+
 @st.composite
 def sparse_texts(draw):
     """The text of a sparse file, maybe bad anywhere, and a chunk size."""
@@ -477,7 +488,7 @@ def sparse_texts(draw):
     head = ["sparse", str(d)] + [str(n) for n in shape] + [str(nnz)]
     seps = st.sampled_from([" ", "\n", "  ", "\t"])
     text = "".join(tok + draw(seps) for tok in head + body)
-    chunk = draw(st.sampled_from([1, 2, 3, 4, 5, 7, fileio._CHUNK]))
+    chunk = draw(st.sampled_from(_CHUNKS))
     return text, chunk
 
 
@@ -506,3 +517,70 @@ def test_sparse_reader_matches_the_one_shot_reader(case):
     with mock.patch.object(fileio, "_CHUNK", chunk):
         got = _load_outcome(load_sparse, text)
     assert got == _load_outcome(o.ref_load_sparse, text)
+
+
+@st.composite
+def float_texts(draw):
+    """The text of a dense or train file, maybe bad anywhere, a chunk size."""
+    tag = draw(st.sampled_from(["dense", "tt"]))
+    shape = draw(st.lists(st.integers(1, 3), min_size=1 if tag == "dense" else 2,
+                          max_size=4))
+    head = [tag, str(len(shape))] + [str(n) for n in shape]
+    count = math.prod(shape)
+    if tag == "tt":
+        ranks = draw(st.lists(st.integers(1, 3), min_size=len(shape) - 1,
+                              max_size=len(shape) - 1))
+        head += [str(r) for r in ranks]
+        r = [1, *ranks, 1]
+        count = sum(r[k] * n * r[k + 1] for k, n in enumerate(shape))
+    body = [draw(st.sampled_from(["1.0", "-2.5", "0", "7e-3", "1e300"]))
+            for _ in range(count)]
+    for _ in range(draw(st.integers(0, 2)) if body else 0):
+        body[draw(st.integers(0, len(body) - 1))] = draw(
+            st.sampled_from(["x", "2.0x", "inf", "nan", "-1e999"]))
+    body = body[:len(body) - draw(st.sampled_from([0, 0, 0, 1]))]  # short
+    body += draw(st.sampled_from([[], [], ["9"]]))  # trailing token
+    if draw(st.integers(0, 9)) == 0:
+        head[draw(st.integers(0, len(head) - 1))] = "y"
+    seps = st.sampled_from([" ", "\n", "  ", "\t"])
+    text = "".join(tok + draw(seps) for tok in head + body)
+    return tag, text, draw(st.sampled_from(_CHUNKS[:-1]))
+
+
+def _float_outcome(load, text):
+    try:
+        x = load(text)
+    except ValueError as err:
+        return ("error", str(err))
+    cores = x.cores if isinstance(x, TTTensor) else [x]
+    return ("loaded", [(c.shape, c.view(np.uint64).tolist()) for c in cores])
+
+
+@given(float_texts())
+@settings(max_examples=200, deadline=None)
+def test_dense_and_tt_readers_do_not_depend_on_the_chunk(case):
+    # A text shorter than the default chunk is split whole, as the exact-
+    # message tests read it; cut into chunks of a few characters it loads
+    # to the same bits, or fails with the same message.
+    tag, text, chunk = case
+    load = load_dense if tag == "dense" else load_tt
+    want = _float_outcome(load, text)
+    with mock.patch.object(fileio, "_CHUNK", chunk):
+        assert _float_outcome(load, text) == want
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_dense, "dense 2 1000000 1000000 1.0", "truncated dense tensor data"),
+    (load_sparse, "sparse 2 3 3 1000000000000  1 1 1.0",
+     "truncated sparse tensor data"),
+    (load_tt, "tt 2 1000000 1000000 1000000  1.0", "truncated tensor train data"),
+])
+def test_a_count_the_text_cannot_hold_is_short_before_any_allocation(load, text, message):
+    # The readers preallocate their result from the header's count; a
+    # count of up to 2^40 values must read as a short body, not allocate
+    # terabytes first.
+    peak = o.peak_bytes(lambda: pytest.raises(ValueError, load, text))
+    with pytest.raises(ValueError) as err:
+        load(text)
+    assert str(err.value) == message
+    assert peak < 2 ** 20

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from test_kernels import shared_prefix_sparse
+from test_kernels import _drawing_steps, _same_bits, shared_prefix_sparse
 from ttsketch import (
     RngStream, SparseTensor, TTTensor, clip_ranks, gaussian_dense, gaussian_sparse,
     randomized_tt_svd, relative_error, tt_evaluate, tt_norm,
@@ -175,8 +175,12 @@ def _distinct_prefixes(x, j):
 
 def _assert_one_row_per_prefix(x, widths, seed):
     # After step j+1's update a row depends only on its prefix idx[:, :j], so
-    # step j (drawing or identity) updates one row per distinct prefix of
-    # length j: all N entries at step d, and the merged rows below it.
+    # step j updates one row per distinct prefix of length j: the merged
+    # rows.  The identity steps before the first draw update nothing: each
+    # entry is placed once, in its prefix's row of the first drawing step
+    # (or of the first core), and every step from that draw on updates.
+    drawing = _drawing_steps(x.shape, widths)
+    first = drawing[0] if drawing else 1
     rows = []
     sparse_update = K.sparse_update
 
@@ -186,7 +190,7 @@ def _assert_one_row_per_prefix(x, widths, seed):
 
     with mock.patch.object(K, "sparse_update", spy):
         randomized_tt_svd(x, widths, RngStream(seed))
-    assert rows == [_distinct_prefixes(x, j) for j in range(x.ndim, 1, -1)]
+    assert rows == [_distinct_prefixes(x, j) for j in range(first, 1, -1)]
 
 
 def _assert_represents_the_per_entry_tensor(x, widths, seed):
@@ -211,18 +215,40 @@ def _assert_represents_the_per_entry_tensor(x, widths, seed):
     assert np.linalg.norm(tt_evaluate(t) - y) <= 1e-11 * np.linalg.norm(x.values)
 
 
-@pytest.mark.parametrize("width", [1, 3, 8])
-def test_outer_product_sum_updates_one_row_per_distinct_prefix(width):
-    x = _outer_product_sum()
-    for seed in range(3):
-        _assert_one_row_per_prefix(x, (width,) * (x.ndim - 1), seed)
+# At 5^6, width 8 makes step 6 the identity (8 >= 5) and steps 5..2 draw.
+# The per-edge widths draw at step 6 (2 < 5), keep step 5 as the identity
+# (10 >= 5 * 2), draw at step 4 (3 < 50), keep step 3 (15 >= 5 * 3) and
+# draw at step 2 (5 < 75): identity steps after a draw project as before.
+_OUTER_WIDTHS = [(1,) * 5, (3,) * 5, (8,) * 5, (5, 15, 3, 10, 2)]
+_OUTER_IDS = ["1", "3", "8", "per-edge"]
 
 
-@pytest.mark.parametrize("width", [1, 3, 8])
-def test_outer_product_sum_represents_the_per_entry_tensor(width):
+def test_outer_product_sum_widths_draw_where_stated():
+    assert [_drawing_steps((5,) * 6, w) for w in _OUTER_WIDTHS] == [
+        [6, 5, 4, 3, 2], [6, 5, 4, 3, 2], [5, 4, 3, 2], [6, 4, 2]]
+
+
+@pytest.mark.parametrize("widths", _OUTER_WIDTHS, ids=_OUTER_IDS)
+def test_outer_product_sum_updates_one_row_per_distinct_prefix(widths):
     x = _outer_product_sum()
     for seed in range(3):
-        _assert_represents_the_per_entry_tensor(x, (width,) * (x.ndim - 1), seed)
+        _assert_one_row_per_prefix(x, widths, seed)
+
+
+@pytest.mark.parametrize("widths", _OUTER_WIDTHS, ids=_OUTER_IDS)
+def test_outer_product_sum_represents_the_per_entry_tensor(widths):
+    x = _outer_product_sum()
+    for seed in range(3):
+        _assert_represents_the_per_entry_tensor(x, widths, seed)
+
+
+@pytest.mark.parametrize("widths", _OUTER_WIDTHS, ids=_OUTER_IDS)
+def test_outer_product_sum_matches_the_per_entry_draw_bit_for_bit(widths):
+    x = _outer_product_sum()
+    for seed in range(3):
+        t, _ = randomized_tt_svd(x, widths, RngStream(seed))
+        want = o.ref_randomized_sparse(x, widths, RngStream(seed))
+        assert all(_same_bits(a, b) for a, b in zip(t.cores, want, strict=True))
 
 
 def _widths(x, data):
@@ -241,3 +267,31 @@ def test_each_step_updates_one_row_per_distinct_prefix(x, data):
 def test_merged_rows_represent_the_per_entry_tensor(x, data):
     _assert_represents_the_per_entry_tensor(
         x, _widths(x, data), data.draw(st.integers(0, 2 ** 16)))
+
+
+def test_leading_identity_step_holds_only_the_merged_rows():
+    # One outer product at 8^8 with supports (4, 4, 4, 4, 3, 3, 3, 8): N =
+    # 55296 entries, P = N / 8 distinct prefixes of length 7.  At width 8
+    # step 8 is the identity (8 >= its 8 columns) and step 7 draws, so the
+    # entries are placed in P rows of 8 columns, the merged rows of step 7.
+    # Beside the input the sweep then holds, at most:
+    # - two arrays of N integers while it places the entries (each entry's
+    #   run, then its position in the rows);
+    # - two arrays of P x 8 floats: the rows beside their projection, or
+    #   the projection beside the merged rows, which are fewer;
+    # - eight arrays of P integers or codes (first entries, codes and the
+    #   next level's, sort order, mode indices, runs, positions, splits);
+    # - the cores and gammas_at's chunk scratch.
+    # Updating every entry at the identity step, N x 8 floats, does not fit.
+    rng = np.random.default_rng(3)
+    pos = [np.sort(rng.choice(8, k, replace=False)) for k in (4, 4, 4, 4, 3, 3, 3, 8)]
+    idx = np.stack([g.ravel() for g in np.meshgrid(*pos, indexing="ij")], axis=1)
+    x = SparseTensor((8,) * 8, idx, rng.standard_normal(idx.shape[0]))
+    n, p, s = x.nnz, _distinct_prefixes(x, 7), 8
+    assert (n, p) == (55296, 6912)
+    widths = (s,) * 7
+    assert _drawing_steps(x.shape, widths) == [7, 6, 5, 4, 3, 2]
+    t, _ = randomized_tt_svd(x, widths, RngStream(3))
+    cores = sum(c.nbytes for c in t.cores)
+    peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
+    assert peak < 8 * (2 * n + 2 * p * s + 8 * p) + cores + 3 * K._CHUNK * 8
