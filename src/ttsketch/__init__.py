@@ -11,9 +11,7 @@ deterministic and randomized decomposition routines
 from .als import als_half_sweep
 from .decompose import (
     DecompositionReport,
-    OversamplingSpec,
     compute_eta,
-    randomized_range,
     randomized_tt_svd,
     relative_error,
     success_probability,
@@ -43,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecompositionReport",
-    "OversamplingSpec",
     "RngStream",
     "SparseTensor",
     "TTTensor",
@@ -56,7 +53,6 @@ __all__ = [
     "orthogonalize_right",
     "random_tt",
     "random_tt_decay",
-    "randomized_range",
     "randomized_tt_svd",
     "relative_error",
     "success_probability",

@@ -26,7 +26,10 @@ code, built by chained mixing of its indices, and rows 2m and 2m+1 share
 one Box-Muller pair (_kernels.gammas_at).  That is what lets the sparse
 fast path materialize only the entries of g that meet stored data:
 identical seeds make both paths consume identical random values, and
-no two rows or prefixes share a counter, at any order.
+no two rows or prefixes share a counter, at any order.  For a matrix the
+one step is the Gaussian range finder of its rows (Halko, Martinsson &
+Tropp, SIAM Rev. 53, 2011, sec. 4); compute_eta and success_probability
+give the constants of its tail bound.
 
 One loop (_sketch_sweep) runs the steps for both representations and
 for ALS (als); the remainders differ only in their sketch, projection
@@ -51,12 +54,11 @@ sketch takes at most as many rows as the unfolding has), so the entry
 points only check that widths and targets are positive integers.  A step
 whose orthonormal factor would be square keeps every direction, so it
 only rotates the remainder: a sketch with at least as many rows as the
-unfolding has columns (the range finder's exact case; Halko, Martinsson &
-Tropp, SIAM Rev. 53, 2011, sec. 4), or a truncation target of at least the
-unfolding's rows where it has no more rows than columns.  Both sweeps make
-such a step an identity core and draw, factor and copy nothing; only a
-sparse identity step after a draw multiplies, by the identity, to keep
-one update path.  The exact sweep's ranks depend on the singular values,
+unfolding has columns (the range finder's exact case), or a truncation
+target of at least the unfolding's rows where it has no more rows than
+columns.  Both sweeps make such a step an identity core and draw, factor
+and copy nothing; only a sparse identity step after a draw multiplies,
+by the identity, to keep one update path.  The exact sweep's ranks depend on the singular values,
 so it factors all.
 
 Every entry point takes a finite real dense array (NaN, inf or a complex
@@ -76,7 +78,7 @@ import numpy as np
 from . import _kernels
 # svd is unused here but stays bound: perfbench's tracer test expects it.
 from .linalg import (  # noqa: F401
-    cut_energy, left_svd, numerical_rank, qr, rq_row_orthonormal, svd,
+    cut_energy, left_svd, numerical_rank, rq_row_orthonormal, svd,
 )
 from .tensor import (
     SparseTensor, as_real, check_finite, check_integers, element_count,
@@ -84,26 +86,6 @@ from .tensor import (
 from .tt import TTTensor, integral_ranks, tt_evaluate, zero_tt
 
 _E = math.e
-
-
-@dataclass
-class OversamplingSpec:
-    """Target rank plus oversampling; the sketch uses s = rank + extra rows."""
-
-    rank: int
-    oversampling: int = 0
-
-    def __post_init__(self):
-        self.rank, self.oversampling = check_integers(
-            (self.rank, self.oversampling), "rank and oversampling")
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if self.oversampling < 0:
-            raise ValueError("oversampling must be nonnegative")
-
-    @property
-    def sketch_size(self):
-        return self.rank + self.oversampling
 
 
 @dataclass
@@ -150,19 +132,6 @@ def success_probability(oversampling, t=1.0, u=1.0, steps=1):
     _check_t_u(t, u)
     single = 1.0 - 5.0 * t ** (-p) - 2.0 * math.exp(-u * u / 2.0)
     return max(0.0, single) ** steps
-
-
-def randomized_range(a, spec, rng):
-    """Orthonormal columns approximately spanning the range of a.
-
-    `a` only needs a shape and matrix multiplication, so implicit
-    operators qualify.  Draws an (n2, s) Gaussian test matrix from the
-    given stream, multiplies, and orthonormalizes the product.
-    """
-    _, n = a.shape
-    g = rng.normals((spec.sketch_size, n)).T
-    q, _ = qr(a @ g)
-    return q
 
 
 def relative_error(x, t):

@@ -42,7 +42,7 @@ from .als import als_half_sweep
 from .decompose import randomized_tt_svd, relative_error, tt_svd_truncated
 from .generators import gaussian_sparse, noisy_low_rank, random_tt_decay
 from .rng import RngStream
-from .tensor import element_count
+from .tensor import check_integers, element_count
 from .tt import tt_evaluate, tt_round
 
 NOISE_GRID = tuple(round(0.01 * i, 2) for i in range(11))
@@ -129,6 +129,13 @@ _STUDIES = {
 EXPERIMENT_NAMES = tuple(_STUDIES)
 
 
+def _count(value, what):
+    """value as an int; a fraction raises ValueError where int() would floor
+    it.  A python int skips tensor.check_integers: perfbench's experiments
+    workload times its 25 resolve_config calls, a few microseconds each."""
+    return value if type(value) is int else check_integers((value,), what)[0]
+
+
 def resolve_config(cfg):
     """Apply per-experiment defaults and build the parameter grid."""
     if cfg.experiment not in _STUDIES:
@@ -142,12 +149,12 @@ def resolve_config(cfg):
             grid = ORDER_GRID_FULL
     fixed = getattr(cfg, field)
     if fixed is not None:
-        grid = (type(grid[0])(fixed),)
-    cfg = replace(cfg, **{k: v for k, v in defaults.items()
-                          if getattr(cfg, k) is None})
-    if cfg.samples < 1:
+        grid = (_count(fixed, field) if isinstance(grid[0], int) else float(fixed),)
+    values = {k: v for k, v in defaults.items() if getattr(cfg, k) is None}
+    values["samples"] = _count(values.get("samples", cfg.samples), "samples")
+    if values["samples"] < 1:
         raise ValueError("samples must be positive")
-    return cfg, grid
+    return replace(cfg, **values), grid
 
 
 def _error_sample(cfg, target, pipelines, param, sample_idx, stream):

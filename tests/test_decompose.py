@@ -8,11 +8,12 @@ import pytest
 
 import oracles as o
 from ttsketch import (
-    OversamplingSpec, RngStream, SparseTensor, TTTensor, clip_ranks,
-    compute_eta, gaussian_dense, gaussian_sparse, random_tt,
-    randomized_range, randomized_tt_svd, relative_error, success_probability,
+    RngStream, SparseTensor, TTTensor, clip_ranks, compute_eta,
+    gaussian_dense, gaussian_sparse, random_tt, randomized_tt_svd,
+    relative_error, success_probability,
     tt_evaluate, tt_norm, tt_svd_exact, tt_svd_truncated, zero_tt,
 )
+from ttsketch.experiments import ExperimentConfig, resolve_config
 from ttsketch.generators import decay_values
 from ttsketch.linalg import numerical_rank
 from ttsketch.tt import right_unfold
@@ -205,27 +206,30 @@ def test_success_probability():
 
 
 # ---------------------------------------------------------------------------
-# range finder
+# range finder: the matrix case of the randomized sweep, on the row space
+
+def _row_range_residual(a, width, stream):
+    q = randomized_tt_svd(a, width, stream)[0].cores[1]
+    return np.linalg.norm(a - (a @ q.T) @ q)
+
 
 def test_range_finder_exact_rank_one():
     rng = RngStream(61)
     a = np.outer(rng.substream(0).normals(9), rng.substream(1).normals(7))
-    q = randomized_range(a, OversamplingSpec(1, 2), rng.substream(2))
-    resid = np.linalg.norm(a - q @ (q.T @ a))
-    assert resid <= 1e-12 * np.linalg.norm(a)
+    assert _row_range_residual(a, 3, rng.substream(2)) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_range_finder_projector_capture():
     rng = RngStream(62)
     basis, _ = np.linalg.qr(rng.normals((10, 3)))
     a = basis @ basis.T  # orthogonal projector of rank 3
-    q = randomized_range(a, OversamplingSpec(3, 4), rng.substream(1))
-    assert np.linalg.norm(a - q @ (q.T @ a)) < 1e-12
+    assert _row_range_residual(a, 7, rng.substream(1)) < 1e-12
 
 
 def test_range_finder_frobenius_bound_small_matrix():
     # two-term tail bound at t = u = 1 on a fixed decaying spectrum;
-    # expected to hold in >= 90 of 100 trials
+    # expected to hold in >= 90 of 100 trials.  a and a^T share their
+    # singular values, so the bound holds for the row space alike.
     sigma = 2.0 ** -np.arange(16, dtype=np.float64)
     rng = RngStream(63)
     ub, _ = np.linalg.qr(rng.substream(0).normals((16, 16)))
@@ -235,39 +239,9 @@ def test_range_finder_frobenius_bound_small_matrix():
     tail = math.sqrt(np.sum(sigma[r:] ** 2))
     bound = (1 + math.sqrt(12.0 * r / p)) * tail \
         + math.e * math.sqrt(r + p) / (p + 1) * sigma[r]
-    hits = 0
-    for trial in range(100):
-        q = randomized_range(a, OversamplingSpec(r, p), rng.substream(2, trial))
-        if np.linalg.norm(a - q @ (q.T @ a)) <= bound:
-            hits += 1
+    hits = sum(_row_range_residual(a, r + p, rng.substream(2, trial)) <= bound
+               for trial in range(100))
     assert hits >= 90
-
-
-def test_range_finder_sign_convention():
-    # q comes from linalg.qr, so q.T @ (a @ g), the r factor, has a
-    # nonnegative diagonal like every other factor of the package.
-    a = RngStream(1).normals((20, 12))
-    spec = OversamplingSpec(4, 2)
-    q = randomized_range(a, spec, RngStream(2))
-    g = RngStream(2).normals((spec.sketch_size, 12)).T
-    assert q.shape == (20, 6)
-    assert np.all(np.diag(q.T @ (a @ g)) >= 0.0)
-
-
-def test_range_finder_refuses_complex_input():
-    # The product a @ g is complex, and its QR refuses it rather than
-    # return a basis of the real part.
-    a = RngStream(3).normals((6, 4)) * 1j
-    with pytest.raises(ValueError, match="must be real"):
-        randomized_range(a, OversamplingSpec(2, 1), RngStream(4))
-
-
-def test_oversampling_spec_validation():
-    with pytest.raises(ValueError):
-        OversamplingSpec(0, 2)
-    with pytest.raises(ValueError):
-        OversamplingSpec(3, -1)
-    assert OversamplingSpec(3, 2).sketch_size == 5
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +406,6 @@ def test_fractional_ranks_rejected(decompose):
 
 def test_fractional_counts_rejected():
     for call in (
-        lambda: OversamplingSpec(2.5, 1),
-        lambda: OversamplingSpec(2, 1.5),
         lambda: compute_eta(10.7, 5.9),
         lambda: compute_eta(10, 5.5),
         lambda: success_probability(4.5),
@@ -450,11 +422,13 @@ def test_fractional_counts_rejected():
         lambda: RngStream(2.5),
         lambda: o.matricize(np.ones((2, 3)), (0.5,)),
         lambda: o.contract(np.ones((2, 3)), (1.5,), np.ones((3, 2)), (0,)),
+        lambda: resolve_config(ExperimentConfig("order", d=4.5)),
+        lambda: resolve_config(ExperimentConfig("oversampling", p=2.7)),
+        lambda: resolve_config(ExperimentConfig("runtime", samples=2.5)),
     ):
         with pytest.raises(ValueError, match="integers"):
             call()
     # integral values of any integer or float type still pass
-    assert OversamplingSpec(np.int64(3), 2.0).sketch_size == 5
     assert compute_eta(10.0, np.int32(5)) == compute_eta(10, 5)
     assert success_probability(6.0, steps=2.0) == success_probability(6, steps=2)
     assert np.array_equal(RngStream(0).normals(3.0), RngStream(0).normals(3))
@@ -465,6 +439,8 @@ def test_fractional_counts_rejected():
     assert RngStream(0).substream(1.0).key == RngStream(0).substream(1).key
     assert RngStream(np.int32(2)).key == RngStream(2.0).key == RngStream(2).key
     assert np.array_equal(o.matricize(np.ones((2, 3)), (np.int64(1),)), np.ones((3, 2)))
+    assert resolve_config(ExperimentConfig("order", d=4.0, samples=np.int64(3))) \
+        == resolve_config(ExperimentConfig("order", d=4, samples=3))
 
 
 @pytest.mark.parametrize("call", [

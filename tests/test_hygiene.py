@@ -6,15 +6,19 @@ no import or helper outlives the code that needed it.  The modules'
 imports of one another form no cycle, so the package reads in layers.
 Only tensor.as_real casts to float64, so every reader refuses complex
 input the same way, and only linalg calls numpy's LAPACK factorizations,
-so every factor takes its signs from one place.
+so every factor takes its signs from one place.  Every package name the
+README spells out still exists.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ttsketch"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ttsketch"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 # Bound on purpose: perfbench's tracer test finds `svd` in decompose's
@@ -222,3 +226,36 @@ def test_only_linalg_calls_lapack():
     names = {module: sorted(set(_lapack_names(tree))) for module, tree in MODULES.items()}
     assert {module for module, found in names.items() if found} == {"linalg"}
     assert names["linalg"] == ["qr", "svd"]
+
+
+def _dotted_names(text):
+    """(module, attribute path) of every backticked span that starts with
+    `module.name` or `ttsketch.module.name`, module one of the package's."""
+    for span in re.findall(r"`([^`\n]+)`", text):
+        found = re.match(r"(?:ttsketch\.)?(\w+)((?:\.\w+)+)", span)
+        if found and found.group(1) in MODULES:
+            yield found.group(1), found.group(2)[1:]
+
+
+def _resolves(module, path):
+    obj = importlib.import_module(f"ttsketch.{module}")
+    for name in path.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_readme_name_finder_finds_every_form():
+    text = ("`ttsketch.tt.tt_round(t, r)` and `decompose.gone`, "
+            "`rng.RngStream.normals`, `ttsketch.linalg`, `np.linalg.qr`, `x.shape`")
+    names = list(_dotted_names(text))
+    assert names == [("tt", "tt_round"), ("decompose", "gone"),
+                     ("rng", "RngStream.normals")]
+    assert [_resolves(*name) for name in names] == [True, False, True]
+
+
+def test_readme_names_resolve():
+    names = list(_dotted_names((ROOT / "README.md").read_text()))
+    assert names
+    assert [f"{m}.{path}" for m, path in names if not _resolves(m, path)] == []
