@@ -30,7 +30,10 @@ The sketch contractions take the sweep's rows sorted by their index in
 the current mode and run one matrix product per run of equal mode
 values, so step j costs O(P_j*s*t) in BLAS-3 calls for its P_j <= N rows,
 one per distinct index prefix of length j of the N stored entries, s
-sketch rows and t columns.
+sketch rows and t columns.  The update also adds the rows that share a
+prefix one mode shorter, one indexed add per mode value as each product
+is formed, so it returns the P_{j-1} added rows and never holds the P_j
+projected ones beside them.
 """
 
 import math
@@ -352,16 +355,24 @@ def sparse_sketch(mu, vals, gam, rows, n_j):
     return a
 
 
-def sparse_update(mu, vals, w):
+def sparse_update(mu, vals, w, run=None, count=None):
     """Projection of one step: row i of the result is w[mu[i]] @ vals[i].
 
     mu (sorted ascending) indexes the (n_j, s, t) blocks w of the new
-    core; every row is projected where it is, so nothing is scattered.
+    core.  Without run every row is projected where it is, so nothing is
+    scattered.  With run, row i is instead added into row run[i] of count
+    rows started at 0.0, one indexed add per mode group in mu's order, so
+    the rows that share a prefix are added as they are projected and no
+    projected row is held beside the added ones.  A prefix meets each
+    mode value at most once, so a group adds into distinct rows.
     """
-    out = np.empty((vals.shape[0], w.shape[1]))
+    out = np.zeros((len(vals) if run is None else count, w.shape[1]))
     bounds = _runs(mu)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(vals[lo:hi], w[mu[lo]].T, out=out[lo:hi])
+        if run is None:
+            np.matmul(vals[lo:hi], w[mu[lo]].T, out=out[lo:hi])
+        else:
+            out[run[lo:hi]] += vals[lo:hi] @ w[mu[lo]].T
     return out
 
 

@@ -38,9 +38,12 @@ draws s Gaussian entries per distinct index prefix (one column of g per
 occupied leading position, at most N of them) and the remainder keeps one
 row per distinct index prefix of the step's length, at most N of them:
 after an update each row depends on its prefix one mode shorter alone,
-so the rows sharing that prefix are added into one.  Both contractions
-are one matrix product per mode value, so the cost grows linearly in the
-order at fixed N and s, and falls where the entries share prefixes.
+so the update adds the rows sharing that prefix into one as it projects
+them, and no step holds its projected rows beside the added ones; the
+first core is the last such add, one row per first index.  Both
+contractions are one matrix product per mode value, so the cost grows
+linearly in the order at fixed N and s, and falls where the entries share
+prefixes.
 The dense step derives its lead positions' codes chunk by chunk from the
 parent level's; the sparse sweep keeps one code per row and steps it
 back one index per step, by the mixer's inverse.  The identity steps
@@ -103,7 +106,10 @@ class DecompositionReport:
             raise ValueError("discarded energies must be nonnegative")
 
 
-def _check_t_u(t, u):
+def _check_bound(p, t, u):
+    """The bound's preconditions: oversampling p >= 4 and t, u >= 1."""
+    if p < 4:
+        raise ValueError("the bound requires oversampling >= 4")
     if not (t >= 1 and u >= 1):
         raise ValueError("t and u must be at least 1")
 
@@ -118,18 +124,19 @@ def compute_eta(rank, oversampling, t=1.0, u=1.0):
     r, p = check_integers((rank, oversampling), "rank and oversampling")
     if r < 1:
         raise ValueError("rank must be positive")
-    if p < 4:
-        raise ValueError("the bound requires oversampling >= 4")
-    _check_t_u(t, u)
+    _check_bound(p, t, u)
     return 1.0 + t * math.sqrt(12.0 * r / p) + u * t * _E * math.sqrt(r + p) / (p + 1)
 
 
 def success_probability(oversampling, t=1.0, u=1.0, steps=1):
-    """Lower bound on the chance that all `steps` projections stay within eta."""
+    """Lower bound on the chance that all `steps` projections stay within eta.
+
+    Valid, as eta is, for oversampling p >= 4 and t, u >= 1.
+    """
     p, steps = check_integers((oversampling, steps), "oversampling and steps")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    _check_t_u(t, u)
+    _check_bound(p, t, u)
     single = 1.0 - 5.0 * t ** (-p) - 2.0 * math.exp(-u * u / 2.0)
     return max(0.0, single) ** steps
 
@@ -290,7 +297,11 @@ class _SparseRemainder:
 
     Step j's rows are the distinct prefixes idx[:, :j] of the stored
     entries: after step j's update a row depends on its prefix idx[:, :j-1]
-    alone, so the rows sharing that prefix are added into one.  Each row
+    alone, so step j's update (_kernels.sparse_update with runs) adds the
+    rows sharing that prefix into one as it projects them, into canonical
+    order; where no two rows share one it projects them in place, in the
+    sorted order.  At step 2 the prefixes are the first indices, so the
+    first core only scatters one row per first index into zeros.  Each row
     keeps, in canonical order, the id of its first entry (`rows`), through
     which it reads its indices, its prefix code and its split; `order`
     lists the rows sorted by their index in the current mode, the order of
@@ -313,8 +324,8 @@ class _SparseRemainder:
     a new prefix starts wherever a row first differs from the one before it
     in a mode below j-1 (its `split`, which starts as the tensor's).  The
     runs come from the indices, not the codes; the same runs place the
-    entries, pick the Gaussian columns and, after an update, the rows that
-    are added.
+    entries, pick the Gaussian columns and, in the update, the row each
+    projection is added into.
     """
 
     def __init__(self, xs):
@@ -338,7 +349,6 @@ class _SparseRemainder:
         c = int(self.split[~new].min(initial=d))
         self.rows = np.flatnonzero(new)
         self.split = self.split[new]
-        self.deepest = int(self.split.max())
         self.codes = np.zeros(len(self.rows), dtype=np.uint64)
         for k in range(m - 1):
             self.codes = _kernels.extend_codes(self.codes, self.idx[self.rows, k])
@@ -397,36 +407,33 @@ class _SparseRemainder:
             return
         n_j = self.shape[j - 1]
         q = np.eye(n_j * self.vals.shape[1]) if q is None else q
-        w = q.reshape(q.shape[0], n_j, -1).transpose(1, 0, 2)
-        self.vals = _kernels.sparse_update(self.mu, self.vals, np.ascontiguousarray(w))
+        w = np.ascontiguousarray(q.reshape(q.shape[0], n_j, -1).transpose(1, 0, 2))
+        new, run = self._runs(j)
+        if new.all():
+            # No two rows share a prefix, so they are projected where they
+            # are: added into canonical order, rows with equal mode indices
+            # would sort differently at the next step, and so would the
+            # sketch's sums.
+            self.vals = _kernels.sparse_update(self.mu, self.vals, w)
+        else:
+            # The rows of a run are added, in the sorted row order, into one
+            # row per run, in canonical order.
+            self.rows, self.codes = self.rows[new], self.codes[new]
+            self.split, self.order = self.split[new], np.arange(len(self.rows))
+            self.vals = _kernels.sparse_update(self.mu, self.vals, w, run, len(self.rows))
         if j > 2:
-            if self.deepest >= j - 1:
-                self._merge(j)
             column = self.idx[self.rows, j - 2]
             self.codes = _kernels.parent_codes(self.codes, column)
             self.vals = self.vals[self._sort(j - 1, column)]
 
-    def _merge(self, j):
-        # The rows of a run are added in the sorted row order into one row
-        # per run, in canonical order.  A run meets each mode value at most
-        # once, so a mode group adds into distinct rows: one indexed add per
-        # group, each sum started from 0.0, as a scatter-add would.
-        new, run = self._runs(j)
-        merged = np.zeros((np.count_nonzero(new), self.vals.shape[1]))
-        bounds = _kernels._runs(self.mu)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            merged[run[lo:hi]] += self.vals[lo:hi]
-        self.vals = merged
-        self.rows, self.codes, self.split = self.rows[new], self.codes[new], self.split[new]
-        self.deepest = int(self.split.max())
-        self.order = np.arange(len(merged))
-
     def first_core(self):
-        # bincount adds each column in row order, as a scatter-add would.
+        # One row per first index is left, so the scatter adds each into
+        # zeros; += rather than = makes a -0.0 read +0.0, as a sum does.
         if self.pending is not None:
             self._place()
-        first, n_1 = self.idx[self.rows[self.order], 0], self.shape[0]
-        return np.column_stack([np.bincount(first, v, n_1) for v in self.vals.T])
+        core = np.zeros((self.shape[0], self.vals.shape[1]))
+        core[self.idx[self.rows[self.order], 0]] += self.vals
+        return core
 
 
 def randomized_tt_svd(x, sketch_ranks, rng):

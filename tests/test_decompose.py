@@ -203,6 +203,11 @@ def test_success_probability():
         success_probability(10, t=2.0, u=3.0, steps=-1)
     with pytest.raises(ValueError, match="steps must be nonnegative"):
         success_probability(4, steps=-1)
+    # Below p = 4 the bound does not hold; it read 0.0 at p = -1 and about
+    # 0.93 at p = 2, t = 10, u = 3.
+    for p in (-1, 0, 2, 3):
+        with pytest.raises(ValueError, match="oversampling >= 4"):
+            success_probability(p, t=10.0, u=3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,33 @@ def test_sketch_matches_scatter_oracle(case):
 @given(kernel_cases())
 @settings(max_examples=60, deadline=None)
 def test_update_matches_scatter_oracle(case):
+    # Both modes: every row projected where it is, and every row added into
+    # row run[i] of count zero rows as it is projected.
     _, mu, vals, _, _, w = _step(case)
     out = K.sparse_update(mu, vals, w)
     assert out.shape == (vals.shape[0], w.shape[1])
-    np.testing.assert_allclose(out, o.ref_sparse_update(mu, vals, w),
-                               rtol=1e-12, atol=1e-12)
+    want = o.ref_sparse_update(mu, vals, w)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    run, count = _runs_of(mu, case[-1])
+    added = K.sparse_update(mu, vals, w, run, count)
+    in_row_order = np.zeros((count, w.shape[1]))
+    for i, r in enumerate(run):
+        in_row_order[r] += out[i]
+    assert _same_bits(added, in_row_order)
+    ref = np.zeros_like(in_row_order)
+    np.add.at(ref, run, want)
+    np.testing.assert_allclose(added, ref, rtol=1e-12, atol=1e-12)
+
+
+def _runs_of(mu, seed):
+    """(run, count): the one of count rows that each row of sorted mu adds
+    into, distinct within each mode value as in the sweep (a prefix meets
+    each mode value once); some of the count rows may take no row."""
+    rng = np.random.default_rng([seed, 1])
+    sizes = np.unique(mu, return_counts=True)[1]
+    count = int(sizes.max(initial=0)) + int(rng.integers(0, 3))
+    run = [rng.permutation(count)[:k] for k in sizes]
+    return np.concatenate(run) if run else np.zeros(0, dtype=np.int64), count
 
 
 @st.composite

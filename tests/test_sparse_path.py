@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
+from gates import chord_slope_ratio, linear_growth_bound
+from test_cli import _outer_product_sum as _outer_product_file_input
 from test_kernels import _drawing_steps, _same_bits, shared_prefix_sparse
 from ttsketch import (
     RngStream, SparseTensor, TTTensor, clip_ranks, gaussian_dense, gaussian_sparse,
     randomized_tt_svd, relative_error, tt_evaluate, tt_norm,
 )
 from ttsketch import _kernels as K
+from ttsketch.experiments import ExperimentConfig, resolve_config
 from ttsketch.tt import right_unfold
 
 
@@ -184,9 +187,9 @@ def _assert_one_row_per_prefix(x, widths, seed):
     rows = []
     sparse_update = K.sparse_update
 
-    def spy(mu, vals, w):
+    def spy(mu, vals, w, *merge):
         rows.append(len(mu))
-        return sparse_update(mu, vals, w)
+        return sparse_update(mu, vals, w, *merge)
 
     with mock.patch.object(K, "sparse_update", spy):
         randomized_tt_svd(x, widths, RngStream(seed))
@@ -295,3 +298,62 @@ def test_leading_identity_step_holds_only_the_merged_rows():
     cores = sum(c.nbytes for c in t.cores)
     peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
     assert peak < 8 * (2 * n + 2 * p * s + 8 * p) + cores + 3 * K._CHUNK * 8
+
+
+def test_first_drawing_step_adds_its_rows_as_it_projects_them():
+    # Two outer products at 16^6, supports (6, 6, 6, 5, 5, 8): N = 86400
+    # entries, P = N / 8 distinct prefixes of length 5.  At width 8 step 6
+    # draws (8 < its 16 columns), so every entry is a row of that step, and
+    # its update adds them into the P rows of step 5.  Beside the input the
+    # sweep then holds, at most:
+    # - while it places the entries, nine arrays of N 8-byte values (first
+    #   entries, codes, sort order, mode indices, in-row positions, values
+    #   and the code chain's or the sort's temporaries) and two of N bytes
+    #   (the prefix flags and splits);
+    # - while it projects them, six of those arrays (first entries, codes,
+    #   sort order, mode indices, values and runs) and three arrays of at
+    #   most P x 8 floats: the added rows, one mode group's products and
+    #   the rows they add to (a group meets each prefix once);
+    # - the cores and gammas_at's chunk scratch.
+    # Projecting every entry before adding them, N x 8 floats, does not fit.
+    x = _outer_product_file_input((16,) * 6, (6, 6, 6, 5, 5, 8), 2, seed=4)
+    n, p, s = x.nnz, _distinct_prefixes(x, 5), 8
+    assert (n, p) == (86400, 10800)
+    widths = (s,) * 5
+    assert _drawing_steps(x.shape, widths) == [6, 5, 4, 3, 2]
+    t, _ = randomized_tt_svd(x, widths, RngStream(3))
+    cores = sum(c.nbytes for c in t.cores)
+    peak = o.peak_bytes(lambda: randomized_tt_svd(x, widths, RngStream(3)))
+    assert peak < 8 * (9 * n + 3 * p * s) + 2 * n + cores + 3 * K._CHUNK * 8
+
+
+def test_runtime_study_work_is_linear_in_the_order():
+    # The noise-free companion of C06 (test_acceptance): the runtime study's
+    # inputs as C06 draws its sample 0, with the kernels' work counted
+    # instead of timed: rows x s x t, the multiply-adds of the matrix
+    # products, summed over the sweep's sparse_sketch and sparse_update
+    # calls.  C06's chord/first-step statistic and bound apply unchanged.
+    orders = (10, 20, 40, 60)
+    sketch, update = K.sparse_sketch, K.sparse_update
+    work = []
+
+    def count_sketch(mu, vals, gam, *rest):
+        work[-1] += len(mu) * gam.shape[0] * vals.shape[1]
+        return sketch(mu, vals, gam, *rest)
+
+    def count_update(mu, vals, w, *rest):
+        work[-1] += len(mu) * w.shape[1] * vals.shape[1]
+        return update(mu, vals, w, *rest)
+
+    for d in orders:
+        cfg = resolve_config(ExperimentConfig("runtime", d=d, samples=5, seed=304))[0]
+        assert (cfg.n, cfg.nnz, cfg.r + cfg.p) == (2, 500, 20)
+        stream = RngStream(304).substream(0, 0)
+        xs = gaussian_sparse((cfg.n,) * d, cfg.nnz, stream.substream(0))
+        work.append(0)
+        with mock.patch.object(K, "sparse_sketch", count_sketch), \
+                mock.patch.object(K, "sparse_update", count_update):
+            randomized_tt_svd(xs, cfg.r + cfg.p, stream.substream(1))
+    bound = linear_growth_bound(orders)
+    assert bound == pytest.approx(math.sqrt(7 / 3))
+    assert chord_slope_ratio(orders, work) <= bound
